@@ -101,12 +101,3 @@ def basic_feasible_point(
         if basis[i] < n:
             x[basis[i]] = tableau[i][width]
     return x
-
-
-def feasible_strictly_positive_combination(
-    rows: Sequence[Sequence], lower: int = 1
-) -> bool:
-    """Whether A y = 0 admits a rational y with every entry >= lower."""
-    n = len(rows[0]) if rows else 0
-    shifted_rhs = [-sum(row) * lower for row in rows]
-    return basic_feasible_point(rows, shifted_rhs) is not None

@@ -2,14 +2,16 @@
 
 Everything here works on arbitrary-precision Python ints; there is no
 floating point and no overflow. The central objects are dense row-major
-matrices (`IntMatrix`), column-style Hermite normal forms with their
-unimodular transforms, and Smith normal forms of nonsingular square
-matrices. Lattice membership and lattice equality are decided through the
-canonical Hermite form.
+matrices (`IntMatrix`), column-style Hermite normal forms and Smith normal
+forms of nonsingular square matrices. One column-HNF routine answers every
+lattice question: the canonical basis from `hnf_basis` gives rank, minor
+gcd and lattice equality without a transform, while `hnf_columns` and
+`lattice_member` let identity rows ride along to record the transform.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -92,7 +94,8 @@ class IntMatrix:
         return [list(self.column(j)) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(self.to_columns())
+        flat = tuple(v for j in range(self.cols) for v in self.entries[j :: self.cols])
+        return IntMatrix(self.cols, self.rows, flat)
 
     def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
         """Submatrix with the given 0-based columns, in the given order."""
@@ -102,11 +105,6 @@ class IntMatrix:
         if not indices:
             return IntMatrix(self.rows, 0, ())
         return IntMatrix.from_columns([list(self.column(j)) for j in indices])
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return IntMatrix.from_columns(self.to_columns() + other.to_columns())
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -192,6 +190,50 @@ def det_exact(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _hnf(cols: list[list[int]], m: int) -> list[int]:
+    """Bring `cols` to column Hermite normal form (as in `hnf_columns`) in
+    place, taking pivots in the first m entries; returns the pivot rows.
+    Entries below row m ride along with every column operation.
+    """
+    n = len(cols)
+    pivots: list[int] = []
+    for i in range(m):
+        c = len(pivots)
+        if c >= n:
+            break
+        pivot_col = next((j for j in range(c, n) if cols[j][i] != 0), None)
+        if pivot_col is None:
+            continue
+        if pivot_col != c:
+            cols[c], cols[pivot_col] = cols[pivot_col], cols[c]
+        for j in range(c + 1, n):
+            if cols[j][i] == 0:
+                continue
+            a, b = cols[c][i], cols[j][i]
+            g, s, t = _xgcd(a, b)
+            # [[s, -b//g], [t, a//g]] has determinant 1.
+            u, v = -(b // g), a // g
+            hc, hj = cols[c], cols[j]
+            cols[c] = [s * x + t * y for x, y in zip(hc, hj)]
+            cols[j] = [u * x + v * y for x, y in zip(hc, hj)]
+        if cols[c][i] < 0:
+            cols[c] = [-x for x in cols[c]]
+        pivot = cols[c][i]
+        for k in range(c):
+            q = cols[k][i] // pivot
+            if q:
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[c])]
+        pivots.append(i)
+    return pivots
+
+
+def _hnf_with_transform(A: IntMatrix) -> tuple[list[list[int]], list[int]]:
+    # Column j of A with e_j appended: afterwards the rows below A.rows hold U.
+    n = A.cols
+    cols = [list(A.column(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    return cols, _hnf(cols, A.rows)
+
+
 def hnf_columns(A: IntMatrix) -> HnfResult:
     """Column Hermite normal form of A.
 
@@ -202,62 +244,30 @@ def hnf_columns(A: IntMatrix) -> HnfResult:
     a pivot's row every entry of an earlier column lies in [0, pivot).
     """
     m, n = A.rows, A.cols
-    h_cols = A.to_columns()
-    u_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    c = 0
-    for i in range(m):
-        if c >= n:
-            break
-        pivot_col = next((j for j in range(c, n) if h_cols[j][i] != 0), None)
-        if pivot_col is None:
-            continue
-        if pivot_col != c:
-            h_cols[c], h_cols[pivot_col] = h_cols[pivot_col], h_cols[c]
-            u_cols[c], u_cols[pivot_col] = u_cols[pivot_col], u_cols[c]
-        for j in range(c + 1, n):
-            if h_cols[j][i] == 0:
-                continue
-            a, b = h_cols[c][i], h_cols[j][i]
-            g, s, t = _xgcd(a, b)
-            # [[s, -b//g], [t, a//g]] has determinant 1.
-            u, v = -(b // g), a // g
-            hc, hj = h_cols[c], h_cols[j]
-            h_cols[c] = [s * x + t * y for x, y in zip(hc, hj)]
-            h_cols[j] = [u * x + v * y for x, y in zip(hc, hj)]
-            uc, uj = u_cols[c], u_cols[j]
-            u_cols[c] = [s * x + t * y for x, y in zip(uc, uj)]
-            u_cols[j] = [u * x + v * y for x, y in zip(uc, uj)]
-        if h_cols[c][i] < 0:
-            h_cols[c] = [-x for x in h_cols[c]]
-            u_cols[c] = [-x for x in u_cols[c]]
-        pivot = h_cols[c][i]
-        for k in range(c):
-            q = h_cols[k][i] // pivot
-            if q:
-                h_cols[k] = [x - q * y for x, y in zip(h_cols[k], h_cols[c])]
-                u_cols[k] = [x - q * y for x, y in zip(u_cols[k], u_cols[c])]
-        c += 1
+    cols, pivots = _hnf_with_transform(A)
     return HnfResult(
-        H=IntMatrix.from_columns(h_cols) if n else IntMatrix(m, 0, ()),
-        U=IntMatrix.from_columns(u_cols) if n else IntMatrix(0, 0, ()),
-        rank=c,
+        H=IntMatrix.from_columns([c[:m] for c in cols]) if n else IntMatrix(m, 0, ()),
+        U=IntMatrix.from_columns([c[m:] for c in cols]) if n else IntMatrix(0, 0, ()),
+        rank=len(pivots),
     )
 
 
-def _pivot_rows(H: IntMatrix, rank: int) -> list[int]:
-    # Pivot row of column j: index of its first nonzero entry.
-    pivots = []
-    for j in range(rank):
-        col = H.column(j)
-        pivots.append(next(i for i, v in enumerate(col) if v != 0))
-    return pivots
+def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
+    """Canonical basis of the lattice spanned by `columns` (each of length
+    m): the nonzero columns of their column HNF, without a transform.
+
+    Its length is the rank; at full rank it is lower triangular with the
+    lattice determinant as diagonal product. Equal bases mean equal lattices.
+    """
+    cols = [list(c) for c in columns]
+    rank = len(_hnf(cols, m))
+    return [tuple(c) for c in cols[:rank]]
 
 
 def hnf_fingerprint(A: IntMatrix) -> tuple[IntVector, ...]:
     """Canonical fingerprint of the lattice spanned by A's columns: the
     nonzero columns of the column HNF."""
-    result = hnf_columns(A)
-    return tuple(result.H.column(j) for j in range(result.rank))
+    return tuple(hnf_basis(A.to_columns(), A.rows))
 
 
 def snf(M: IntMatrix) -> SnfResult:
@@ -364,49 +374,38 @@ def snf(M: IntMatrix) -> SnfResult:
 def gcd_maximal_minors(A: IntMatrix) -> int:
     """gcd of all m x m minors of a full-row-rank m x n matrix.
 
-    Computed as the determinant of the nonzero part of the column HNF,
-    which equals the determinant of the lattice spanned by A's columns.
+    Computed as the determinant of the canonical basis of the lattice
+    spanned by A's columns, which equals that gcd.
     """
-    result = hnf_columns(A)
-    if result.rank < A.rows:
-        raise RankDeficient(f"rank {result.rank} < row count {A.rows}")
-    # Full row rank makes the nonzero block lower triangular with the
-    # pivots on the diagonal.
-    g = 1
-    for j in range(A.rows):
-        g *= result.H.at(j, j)
-    return g
+    basis = hnf_basis(A.to_columns(), A.rows)
+    if len(basis) < A.rows:
+        raise RankDeficient(f"rank {len(basis)} < row count {A.rows}")
+    return math.prod(col[j] for j, col in enumerate(basis))
 
 
 def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     """Solve A x = b over the integers, or return None when b is not in
     the lattice spanned by A's columns.
 
-    Works by triangular substitution on the column HNF: H z = b determines
-    z at the pivot rows (with exact divisibility required), the remaining
-    rows are consistency checks, and x = U z.
+    Works by triangular substitution on the column HNF H = A*U: H z = b
+    determines z at the pivot rows (with exact divisibility required), the
+    remaining rows are consistency checks, and x = U z.
     """
     vec = as_vector(b)
     if len(vec) != A.rows:
         raise DimensionMismatch("right-hand side length differs from row count")
-    result = hnf_columns(A)
-    H, U, rank = result.H, result.U, result.rank
-    pivots = _pivot_rows(H, rank)
-    residual = list(vec)
-    z = [0] * A.cols
-    for j in range(rank):
-        p = pivots[j]
-        pivot = H.at(p, j)
-        if residual[p] % pivot != 0:
+    cols, pivots = _hnf_with_transform(A)
+    # Subtracting z_j times each whole column leaves b - H z on top and -U z below.
+    residual = list(vec) + [0] * A.cols
+    for col, p in zip(cols, pivots):
+        z, r = divmod(residual[p], col[p])
+        if r:
             return None
-        z[j] = residual[p] // pivot
-        if z[j]:
-            col = H.column(j)
-            for i in range(A.rows):
-                residual[i] -= z[j] * col[i]
-    if any(residual):
+        if z:
+            residual = [v - z * c for v, c in zip(residual, col)]
+    if any(residual[: A.rows]):
         return None
-    return U.mat_vec(z)
+    return tuple(-v for v in residual[A.rows :])
 
 
 def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:

@@ -18,7 +18,6 @@ instance, exactly, for reporting and comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,7 @@ from .intlinalg import (
     as_vector,
     det_exact,
     gcd_maximal_minors,
-    hnf_columns,
+    hnf_basis,
 )
 from .numtheory import omega, omega_truncated
 from .sparsify import IndexSet, check_index_set, first_nonsingular_basis, sparsify
@@ -100,7 +99,7 @@ def positively_spans(A: IntMatrix) -> bool:
     """
     if A.cols == 0:
         return False
-    if hnf_columns(A).rank < A.rows:
+    if len(hnf_basis(A.to_columns(), A.rows)) < A.rows:
         return False
     rows = A.to_rows()
     rhs = [-sum(row) for row in rows]
@@ -392,11 +391,12 @@ def sparsity_bounds(
     extreme ray.
     """
     m, n = A.rows, A.cols
-    if hnf_columns(A).rank < m:
-        raise RankDeficient("bounds need a full-row-rank matrix")
-    g = gcd_maximal_minors(A)
-    gram = A.matmul(A.transpose())
-    adno = m + _floor_log2_sqrt(det_exact(gram) // (g * g))
+    try:
+        g = gcd_maximal_minors(A)
+    except RankDeficient:
+        raise RankDeficient("bounds need a full-row-rank matrix") from None
+    gram_det = det_exact(A.matmul(A.transpose()))
+    adno = m + _floor_log2_sqrt(gram_det // (g * g))
     if tau is None:
         tau = first_nonsingular_basis(A)
     else:
@@ -420,11 +420,10 @@ def sparsity_bounds(
                 (j for j in range(1, n + 1) if _is_extreme_ray(A, j)), None
             )
         if designated is not None:
-            q_squared = 0
-            rest = [j for j in range(n) if j != designated - 1]
-            for combo in itertools.combinations(rest, m - 1):
-                subset = sorted((designated - 1,) + combo)
-                q_squared += det_exact(A.take_columns(subset)) ** 2
+            # Cauchy-Binet: det(A A^T) sums the squares of all maximal
+            # minors, det(B B^T) those of the minors avoiding the column.
+            B = A.take_columns([j for j in range(n) if j != designated - 1])
+            q_squared = gram_det - det_exact(B.matmul(B.transpose()))
             if q_squared > 0:
                 pointed = m + _floor_log2_sqrt(q_squared // (g * g))
     return BoundsReport(

@@ -17,6 +17,7 @@ Column indices in the public API are 1-based throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,9 +31,8 @@ from .intlinalg import (
     IntMatrix,
     det_exact,
     gcd_maximal_minors,
-    hnf_columns,
+    hnf_basis,
     lattice_equal,
-    lattice_member,
 )
 from .numtheory import factorize, omega_truncated
 
@@ -69,49 +69,42 @@ class SparsifyCertificate:
 
 
 def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
-    """Lexicographically first m-subset of columns with nonzero determinant."""
-    m = A.rows
-    for combo in itertools.combinations(range(A.cols), m):
-        if det_exact(A.take_columns(combo)) != 0:
-            return tuple(j + 1 for j in combo)
-    raise RankDeficient("no nonsingular column basis exists")
+    """Lexicographically first m-subset of columns with nonzero determinant.
 
-
-def _reduce_to_unit_gcd(A: IntMatrix) -> IntMatrix:
-    """Rewrite A in the basis of its own lattice so the minor gcd becomes 1.
-
-    The basis matrix M is the nonzero block of the column HNF; M is lower
-    triangular, so M^{-1} A is computed by exact forward substitution. The
-    result is integral because every column of A lies in the lattice of M.
+    Linearly independent column sets form a matroid, whose
+    lexicographically first basis is the greedy one: scan the columns in
+    index order and keep each column that raises the rank of the columns
+    kept before it.
     """
     m = A.rows
-    result = hnf_columns(A)
-    if result.rank < m:
-        raise RankDeficient(f"rank {result.rank} < row count {m}")
-    M = result.H.take_columns(range(m)).to_rows()
-    new_cols = []
+    kept: list[int] = []
+    basis: list[tuple[int, ...]] = []
     for j in range(A.cols):
-        col = list(A.column(j))
-        out = [0] * m
-        for i in range(m):
-            acc = col[i] - sum(M[i][k] * out[k] for k in range(i))
-            q, r = divmod(acc, M[i][i])
-            if r != 0:
-                raise AssertionError("lattice basis does not divide its own column")
-            out[i] = q
-        new_cols.append(out)
-    return IntMatrix.from_columns(new_cols)
+        if len(basis) == m:
+            break
+        grown = hnf_basis(basis + [A.column(j)], m)
+        if len(grown) > len(basis):
+            kept.append(j + 1)
+            basis = grown
+    if len(basis) < m:
+        raise RankDeficient("no nonsingular column basis exists")
+    return tuple(kept)
 
 
 def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     """Find gamma containing tau with the columns of A_gamma spanning the
     same lattice as A, within the truncated-omega cardinality bound.
 
-    After rewriting A so its minor gcd is 1, every column outside tau is
-    tested once, in increasing index order, for membership in the lattice
-    of the remaining kept columns; redundant columns are dropped on the
-    spot. Each test is one linear Diophantine solve, so at most n - m
-    solves happen in total, and the surviving set is non-redundant.
+    Every column outside tau is considered once, in increasing index
+    order, and dropped iff the columns kept before it, tau and all later
+    columns still span the lattice of A; the surviving set is therefore
+    non-redundant. Those columns lie in the lattice of A, so the test is
+    whether their canonical HNF basis equals that of A. A backward pass
+    stores the HNF basis of tau plus each suffix of the other columns; its
+    last step is the basis of A, which gives gcd(A). A forward pass merges
+    each stored basis with the columns kept so far. Every stored basis
+    spans a lattice containing that of A_tau, so its entries stay below
+    |det(A_tau)|.
     """
     m, n = A.rows, A.cols
     tau = check_index_set(tau, n)
@@ -121,18 +114,24 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     det_tau = det_exact(A.take_columns(tau0))
     if det_tau == 0:
         raise SingularBasis(f"columns {tau} are linearly dependent")
-    reduced = _reduce_to_unit_gcd(A)  # raises RankDeficient if rank < m
-    delta = abs(det_exact(reduced.take_columns(tau0)))
-    kept = [j for j in range(n) if j not in tau0]
-    for j in list(kept):
-        others = sorted(set(kept) - {j} | set(tau0))
-        if lattice_member(reduced.take_columns(others), reduced.column(j)) is not None:
-            kept.remove(j)
-    gamma = tuple(sorted(j + 1 for j in set(kept) | set(tau0)))
+    columns = A.to_columns()
+    rest = [j for j in range(n) if j not in tau0]
+    # suffix[k] is the basis of tau plus rest[k:].
+    suffix = [hnf_basis([columns[j] for j in tau0], m)]
+    for j in reversed(rest):
+        suffix.append(hnf_basis(suffix[-1] + [columns[j]], m))
+    suffix.reverse()
+    full = suffix[0]
+    delta = abs(det_tau) // math.prod(col[i] for i, col in enumerate(full))
+    kept: list[int] = []
+    for k, j in enumerate(rest):
+        if hnf_basis(suffix[k + 1] + [columns[i] for i in kept], m) != full:
+            kept.append(j)
+    gamma = tuple(sorted(j + 1 for j in kept + tau0))
     bound = m + omega_truncated(delta, m)
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
-    match = lattice_equal(A, A.take_columns([i - 1 for i in gamma]))
+    match = hnf_basis([columns[j - 1] for j in gamma], m) == full
     if not match:
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(

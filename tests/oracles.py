@@ -2,13 +2,29 @@
 
 Everything here deliberately avoids the code paths under test: the
 determinant is a permutation expansion, factorization is plain trial
-division, and knapsack minima come from depth-first enumeration.
+division, and knapsack minima come from depth-first enumeration. The
+superseded sparsify (one membership solve per column) and basis choice
+(a C(n, m) subset scan) are kept here as references; they run on
+`hnf_columns` and `lattice_member` with their transforms, not on the
+transform-free `hnf_basis` that the package now uses.
 """
 
 import itertools
 import math
 
-from sparsedioph import IntMatrix, det_exact
+from sparsedioph import (
+    DimensionMismatch,
+    IntMatrix,
+    RankDeficient,
+    SingularBasis,
+    SparsifyCertificate,
+    det_exact,
+    hnf_columns,
+    lattice_equal,
+    lattice_member,
+    omega_truncated,
+)
+from sparsedioph.sparsify import check_index_set
 
 
 def perm_det(rows) -> int:
@@ -70,8 +86,6 @@ def random_matrix(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:
 
 
 def random_full_row_rank(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:
-    from sparsedioph import hnf_columns
-
     while True:
         A = random_matrix(rng, m, n, lo, hi)
         if hnf_columns(A).rank == m:
@@ -118,3 +132,90 @@ def knapsack_min_support_dfs(weights, b: int):
             if representable([weights[j] for j in combo], b):
                 return k
     return None
+
+
+def first_nonsingular_basis_lex(A: IntMatrix):
+    """Lexicographically first m-subset of columns with nonzero determinant,
+    by scanning all C(n, m) subsets in order (1-based)."""
+    m = A.rows
+    for combo in itertools.combinations(range(A.cols), m):
+        if det_exact(A.take_columns(combo)) != 0:
+            return tuple(j + 1 for j in combo)
+    raise RankDeficient("no nonsingular column basis exists")
+
+
+def _reduce_to_unit_gcd(A: IntMatrix) -> IntMatrix:
+    """Rewrite A in the basis of its own lattice so the minor gcd becomes 1.
+
+    The basis matrix M is the nonzero block of the column HNF; M is lower
+    triangular, so M^{-1} A is computed by exact forward substitution. The
+    result is integral because every column of A lies in the lattice of M.
+    """
+    m = A.rows
+    result = hnf_columns(A)
+    if result.rank < m:
+        raise RankDeficient(f"rank {result.rank} < row count {m}")
+    M = result.H.take_columns(range(m)).to_rows()
+    new_cols = []
+    for j in range(A.cols):
+        col = list(A.column(j))
+        out = [0] * m
+        for i in range(m):
+            acc = col[i] - sum(M[i][k] * out[k] for k in range(i))
+            q, r = divmod(acc, M[i][i])
+            if r != 0:
+                raise AssertionError("lattice basis does not divide its own column")
+            out[i] = q
+        new_cols.append(out)
+    return IntMatrix.from_columns(new_cols)
+
+
+def sparsify_membership_greedy(A: IntMatrix, tau):
+    """Sparsify by one lattice-membership solve per column outside tau.
+
+    After rewriting A so its minor gcd is 1, every column outside tau is
+    tested once, in increasing index order, for membership in the lattice
+    of the remaining kept columns; redundant columns are dropped on the
+    spot.
+    """
+    m, n = A.rows, A.cols
+    tau = check_index_set(tau, n)
+    if len(tau) != m:
+        raise DimensionMismatch(f"basis needs {m} indices, got {len(tau)}")
+    tau0 = [i - 1 for i in tau]
+    det_tau = det_exact(A.take_columns(tau0))
+    if det_tau == 0:
+        raise SingularBasis(f"columns {tau} are linearly dependent")
+    reduced = _reduce_to_unit_gcd(A)  # raises RankDeficient if rank < m
+    delta = abs(det_exact(reduced.take_columns(tau0)))
+    kept = [j for j in range(n) if j not in tau0]
+    for j in list(kept):
+        others = sorted(set(kept) - {j} | set(tau0))
+        if lattice_member(reduced.take_columns(others), reduced.column(j)) is not None:
+            kept.remove(j)
+    gamma = tuple(sorted(j + 1 for j in set(kept) | set(tau0)))
+    bound = m + omega_truncated(delta, m)
+    if len(gamma) > bound:
+        raise AssertionError("non-redundant set exceeded the sparsity bound")
+    match = lattice_equal(A, A.take_columns([i - 1 for i in gamma]))
+    if not match:
+        raise AssertionError("kept columns changed the lattice")
+    return SparsifyCertificate(
+        tau=tau, gamma=gamma, bound=bound, delta=delta, lattice_fingerprint_match=match
+    )
+
+
+def pointed_cone_bound_enumerated(A: IntMatrix, designated: int, g: int):
+    """m + floor(log2(sqrt(q^2 / g^2))), where q^2 sums the squared m x m
+    minors containing the 1-based column `designated`, enumerated one
+    subset at a time; None when q^2 = 0."""
+    m, n = A.rows, A.cols
+    rows = A.to_rows()
+    q_squared = 0
+    rest = [j for j in range(n) if j != designated - 1]
+    for combo in itertools.combinations(rest, m - 1):
+        subset = sorted((designated - 1,) + combo)
+        q_squared += perm_det([[row[j] for j in subset] for row in rows]) ** 2
+    if q_squared == 0:
+        return None
+    return m + math.isqrt(q_squared // (g * g)).bit_length() - 1

@@ -10,12 +10,27 @@ from sparsedioph import (
     SingularMatrix,
     det_exact,
     gcd_maximal_minors,
+    hnf_basis,
     hnf_columns,
     lattice_equal,
     lattice_member,
     snf,
 )
 from oracles import minors_gcd, perm_det, random_full_row_rank, random_matrix
+
+
+class TestIntMatrix:
+    def test_transpose(self):
+        A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert A.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
+
+    def test_transpose_keeps_empty_dimensions(self):
+        assert IntMatrix(2, 0, ()).transpose() == IntMatrix(0, 2, ())
+        assert IntMatrix(0, 3, ()).transpose() == IntMatrix(3, 0, ())
+
+    def test_gram_of_empty_matrix_is_zero(self):
+        B = IntMatrix(3, 0, ())
+        assert B.matmul(B.transpose()) == IntMatrix(3, 3, (0,) * 9)
 
 
 class TestDet:
@@ -93,6 +108,16 @@ class TestHnf:
             n = rng.randint(1, 7)
             A = random_matrix(rng, m, n, -9, 9)
             assert_hnf_shape(A, hnf_columns(A))
+
+    def test_basis_is_the_nonzero_part_of_the_transform_version(self):
+        rng = random.Random(204)
+        for _ in range(120):
+            m = rng.randint(1, 4)
+            n = rng.randint(0, 7)
+            A = random_matrix(rng, m, n, -9, 9)
+            result = hnf_columns(A)
+            basis = hnf_basis(A.to_columns(), m)
+            assert basis == [result.H.column(j) for j in range(result.rank)]
 
 
 class TestGcdMaximalMinors:

@@ -14,6 +14,7 @@ from sparsedioph import (
     NotPositivelySpanning,
     RankDeficient,
     caratheodory_cone_rep,
+    gcd_maximal_minors,
     kernel_vector_pigeonhole,
     omega,
     positively_spans,
@@ -23,7 +24,7 @@ from sparsedioph import (
     solve_semigroup_posspan,
     sparsity_bounds,
 )
-from oracles import knapsack_min_support_dfs
+from oracles import knapsack_min_support_dfs, pointed_cone_bound_enumerated
 
 
 class TestPositivelySpans:
@@ -312,7 +313,7 @@ class TestSparsityBounds:
         assert report.knapsack_bound == 3
 
     def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="^bounds need a full-row-rank matrix$"):
             sparsity_bounds(IntMatrix.from_rows([[1, 2], [2, 4]]))
 
     def test_mixed_row_has_no_knapsack_bound(self):
@@ -343,3 +344,31 @@ class TestSparsityBounds:
         report = sparsity_bounds(IntMatrix.from_rows([[6, 10]]))
         assert report.gcd_A == 2
         assert report.knapsack_bound == 1 + (6 // 2).bit_length() - 1
+
+    def test_pointed_cone_bound_matches_enumeration(self):
+        # Rows of nonnegative entries, each negated at random: the cone
+        # stays pointed. Every extreme ray is compared with the enumerated
+        # sum of squared minors through it; n = m and n = 1 are included.
+        rng = random.Random(72)
+        instances = 0
+        while instances < 120:
+            m = rng.randint(1, 4)
+            n = rng.choice((1 if m == 1 else m, m, rng.randint(m, m + 4)))
+            rows = [[rng.randint(0, 6) for _ in range(n)] for _ in range(m)]
+            rows = [[-v for v in row] if rng.random() < 0.3 else row for row in rows]
+            A = IntMatrix.from_rows(rows)
+            if any(not any(A.column(j)) for j in range(n)):
+                continue
+            try:
+                default = sparsity_bounds(A).pointed_cone_bound
+            except RankDeficient:
+                continue
+            g = gcd_maximal_minors(A)
+            extreme = []
+            for j in range(1, n + 1):
+                bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
+                if bound is not None:
+                    assert bound == pointed_cone_bound_enumerated(A, j, g)
+                    extreme.append(bound)
+            assert extreme and default == extreme[0]
+            instances += 1

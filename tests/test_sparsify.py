@@ -2,6 +2,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
 from sparsedioph import (
@@ -20,7 +22,12 @@ from sparsedioph import (
     verify_tightness,
     worst_case_instance,
 )
-from oracles import random_full_row_rank, random_nonsingular_tau
+from oracles import (
+    first_nonsingular_basis_lex,
+    random_full_row_rank,
+    random_nonsingular_tau,
+    sparsify_membership_greedy,
+)
 
 
 class TestSparsify:
@@ -83,25 +90,80 @@ class TestSparsify:
             assert cert.lattice_fingerprint_match
             assert lattice_equal(A, A.take_columns([i - 1 for i in cert.gamma]))
 
-    def test_at_most_n_minus_m_membership_solves(self, monkeypatch):
-        calls = 0
-        true_member = sparsify_module.lattice_member
+    def test_kernel_calls_per_sparsify(self, monkeypatch):
+        # One backward and one forward pass plus the final lattice check:
+        # at most 2(n - m) + 2 HNF bases, none on more than |gamma| + 1
+        # columns.
+        sizes = []
+        true_basis = sparsify_module.hnf_basis
 
-        def counting(A, b):
-            nonlocal calls
-            calls += 1
-            return true_member(A, b)
+        def counting(columns, m):
+            columns = list(columns)
+            sizes.append(len(columns))
+            return true_basis(columns, m)
 
-        monkeypatch.setattr(sparsify_module, "lattice_member", counting)
+        monkeypatch.setattr(sparsify_module, "hnf_basis", counting)
         rng = random.Random(43)
         for _ in range(20):
             m = rng.randint(1, 3)
             n = rng.randint(m, 8)
             A = random_full_row_rank(rng, m, n, -9, 9)
             tau = random_nonsingular_tau(rng, A)
-            calls = 0
-            sparsify(A, tau)
-            assert calls <= n - m
+            sizes.clear()
+            cert = sparsify(A, tau)
+            assert len(sizes) <= 2 * (n - m) + 2
+            assert max(sizes) <= len(cert.gamma) + 1
+
+
+@st.composite
+def small_matrices(draw):
+    """Small matrices with duplicated, scaled and zero columns, some of
+    them rank-deficient."""
+    m = draw(st.integers(1, 3))
+    column = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "scale", "zero")), max_size=3)):
+        source = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "duplicate":
+            new = list(source)
+        elif kind == "scale":
+            new = [draw(st.sampled_from((-3, -2, 2, 3))) * v for v in source]
+        else:
+            new = [0] * m
+        cols.insert(draw(st.integers(0, len(cols))), new)
+    if m > 1 and draw(st.booleans()):
+        factor = draw(st.integers(-2, 2))
+        cols = [c[:-1] + [factor * c[0]] for c in cols]
+    return IntMatrix.from_columns(cols)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RankDeficient, SingularBasis) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReferences:
+    """The greedy basis scan and the two-pass sparsify against the C(n, m)
+    subset scan and the one-membership-solve-per-column sparsify."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices())
+    def test_default_basis_and_sparsify(self, A):
+        tau = _outcome(first_nonsingular_basis_lex, A)
+        assert _outcome(first_nonsingular_basis, A) == tau
+        if tau[0] is not RankDeficient:
+            assert sparsify(A, tau) == sparsify_membership_greedy(A, tau)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparsify_on_any_basis(self, data):
+        A = data.draw(small_matrices())
+        assume(A.cols >= A.rows)
+        tau = sorted(data.draw(st.permutations(range(1, A.cols + 1)))[: A.rows])
+        expected = _outcome(sparsify_membership_greedy, A, tau)
+        assert _outcome(sparsify, A, tau) == expected
 
 
 class TestWorstCaseInstance:
