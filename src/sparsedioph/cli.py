@@ -385,6 +385,20 @@ def _cmd_factor(args, out) -> int:
 
 
 def run(argv, out=None, err=None) -> int:
+    # Inputs and answers may pass Python's 4300-digit int/str limit; lift
+    # it for this call only, so in-process callers keep their setting.
+    # 0 means no limit, which is also all a build without the limit has.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, out, err)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv, out, err) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()

@@ -4,10 +4,11 @@ Three solving regimes live here, in decreasing generality:
 
 * `solve_semigroup_posspan` handles A x = b, x >= 0 when the columns of A
   positively span R^m; the semigroup then coincides with the lattice, and
-  a sparse lattice solution can be pushed into the nonnegative orthant by
-  a strictly positive kernel vector supported on few columns.
+  a sparse lattice solution on gamma is pushed into the nonnegative
+  orthant by one integer kernel vector, positive on gamma and nonzero on
+  at most m more columns, taken from a single phase-I LP.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
-  it scans every singleton basis and keeps the sparsest result.
+  it lifts from every singleton basis and keeps the sparsest result.
 * `solve_knapsack_positive` is the all-positive single-row case: dynamic
   programming finds some solution, and a pigeonhole-built kernel vector
   with entries in {-1, 0, 1} repeatedly shrinks its support.
@@ -91,6 +92,25 @@ def _floor_log2_sqrt(v: int) -> int:
     return (v.bit_length() - 1) // 2
 
 
+def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
+    """Primitive integer y >= 0 with A y = 0, positive on the nonempty
+    1-based columns `ones` and on at most m others, or None if none exists.
+
+    y is 1_ones plus a basic feasible point of {z >= 0 : A z = -A 1_ones},
+    which has at most rank(A) nonzeros, scaled to a primitive vector.
+    """
+    rows = A.to_rows()
+    z = basic_feasible_point(rows, [-sum(row[j - 1] for j in ones) for row in rows])
+    if z is None:
+        return None
+    for j in ones:
+        z[j - 1] += 1
+    scale = math.lcm(*(f.denominator for f in z))
+    y = [int(f * scale) for f in z]
+    content = math.gcd(*y)
+    return [v // content for v in y]
+
+
 def positively_spans(A: IntMatrix) -> bool:
     """Whether the columns of A positively span all of R^m.
 
@@ -101,9 +121,7 @@ def positively_spans(A: IntMatrix) -> bool:
         return False
     if len(hnf_basis(A.to_columns(), A.rows)) < A.rows:
         return False
-    rows = A.to_rows()
-    rhs = [-sum(row) for row in rows]
-    return basic_feasible_point(rows, rhs) is not None
+    return _positive_kernel(A, range(1, A.cols + 1)) is not None
 
 
 def caratheodory_cone_rep(A: IntMatrix, v: Sequence) -> tuple[IndexSet, tuple[Fraction, ...]]:
@@ -119,78 +137,43 @@ def caratheodory_cone_rep(A: IntMatrix, v: Sequence) -> tuple[IndexSet, tuple[Fr
     return beta, coeffs
 
 
-def _strictly_positive_kernel(A: IntMatrix, support: Sequence[int], base: Sequence[int]) -> list[int]:
-    """Integer kernel vector of A, strictly positive on `support`, zero
-    outside support, assuming the columns in `base` positively span R^m.
-
-    For every index k in the support, -a_k has a conic representation over
-    the base columns; summing e_k with those representations gives a
-    rational kernel vector positive everywhere on the support, which is
-    scaled to integers by the lcm of the denominators and then divided by
-    its content to keep entries small.
-    """
-    base0 = [j - 1 for j in base]
-    base_rows = A.take_columns(base0).to_rows()
-    combo = [Fraction(0)] * A.cols
-    for k in support:
-        target = [-value for value in A.column(k - 1)]
-        rep = basic_feasible_point(base_rows, target)
-        if rep is None:
-            raise AssertionError("base columns fail to positively span")
-        combo[k - 1] += 1
-        for pos, j in enumerate(base):
-            combo[j - 1] += rep[pos]
-    scale = math.lcm(*(f.denominator for f in combo))
-    kernel = [int(f * scale) for f in combo]
-    content = math.gcd(*kernel)
-    return [v // content for v in kernel]
-
-
 def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
     """Sparse nonnegative integer solution of A x = b for positively
     spanning columns, or None when b is not in the lattice of A.
 
-    Follows the constructive route: take the sparse lattice solution
-    supported on gamma, pick beta by conic Caratheodory for the negated
-    basis sum, build a strictly positive integer kernel vector on
-    gamma union beta, and add the smallest multiple of it that clears all
-    negative entries. The support stays within
-    2m + omega_truncated(delta, m).
+    Takes the sparse lattice solution x* supported on gamma and, when it
+    has negative entries, adds the smallest multiple of one integer kernel
+    vector that is positive on gamma and nonzero on at most m further
+    columns (one phase-I LP). The support stays within
+    |gamma| + m <= 2m + omega_truncated(delta, m).
     """
     if not positively_spans(A):
         raise NotPositivelySpanning("columns do not positively span R^m")
-    m, n = A.rows, A.cols
+    return _lift_posspan(A, b, tau)
+
+
+def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
+    # solve_semigroup_posspan after its spanning check.
     cert = sparsify(A, tau)
     b = as_vector(b)
-    x_star = solve_on_columns(A, b, cert.gamma)
-    if x_star is None:
+    x = solve_on_columns(A, b, cert.gamma)
+    if x is None:
         return None
-    bound = 2 * m + omega_truncated(cert.delta, m)
-    if all(v >= 0 for v in x_star):
-        return SolutionReport(
-            x=x_star,
-            support_size=support_size(x_star),
-            bound=bound,
-            bound_name=BOUND_POSITIVE_SPAN,
-        )
-    neg_basis_sum = [
-        -sum(A.at(i, j - 1) for j in cert.tau) for i in range(m)
-    ]
-    beta, _ = caratheodory_cone_rep(A, neg_basis_sum)
-    base = sorted(set(cert.tau) | set(beta))
-    support = sorted(set(cert.gamma) | set(beta))
-    kernel = _strictly_positive_kernel(A, support, base)
-    scale = 0
-    for i in range(n):
-        if x_star[i] < 0:
-            # kernel[i] > 0 on the support, which covers x_star's support;
-            # ceil(-x_star[i] / kernel[i]) = -(x_star[i] // kernel[i]).
-            scale = max(scale, -(x_star[i] // kernel[i]))
-    x = tuple(x_star[i] + scale * kernel[i] for i in range(n))
-    if any(v < 0 for v in x) or A.mat_vec(x) != b:
-        raise AssertionError("kernel lift failed to produce a valid solution")
+    if any(v < 0 for v in x):
+        kernel = _positive_kernel(A, cert.gamma)
+        if kernel is None:
+            raise AssertionError("columns fail to positively span")
+        # kernel >= 1 on gamma, which covers the support of x;
+        # ceil(-v / k) = -(v // k).
+        scale = max(-(v // k) for v, k in zip(x, kernel) if v < 0)
+        x = tuple(v + scale * k for v, k in zip(x, kernel))
+        if any(v < 0 for v in x) or A.mat_vec(x) != b:
+            raise AssertionError("kernel lift failed to produce a valid solution")
     return SolutionReport(
-        x=x, support_size=support_size(x), bound=bound, bound_name=BOUND_POSITIVE_SPAN
+        x=x,
+        support_size=support_size(x),
+        bound=2 * A.rows + omega_truncated(cert.delta, A.rows),
+        bound_name=BOUND_POSITIVE_SPAN,
     )
 
 
@@ -198,9 +181,11 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     """Sparse nonnegative solution of a.x = b when a has entries of both
     signs (and none zero); None iff gcd(a) does not divide b.
 
-    Runs the positively-spanning solver once per singleton basis {i} and
-    returns the sparsest outcome; ties prefer the column whose
-    omega(|a_i|/gcd) is smallest, then the smallest index.
+    A nonzero row with both signs positively spans R, so the
+    positively-spanning lift runs once per singleton basis {i} without
+    repeating the spanning LP, and the sparsest outcome is returned; ties
+    prefer the column whose omega(|a_i|/gcd) is smallest, then the
+    smallest index.
     """
     a = as_vector(a)
     if any(v == 0 for v in a):
@@ -215,7 +200,7 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     best = None
     best_key = None
     for i in range(1, len(a) + 1):
-        report = solve_semigroup_posspan(A, (b,), (i,))
+        report = _lift_posspan(A, (b,), (i,))
         key = (report.support_size, omegas[i - 1], i)
         if best_key is None or key < best_key:
             best, best_key = report, key
@@ -355,24 +340,17 @@ def _is_extreme_ray(A: IntMatrix, index: int) -> bool:
     """Whether the 1-based column `index` spans an extreme ray of the cone
     of all columns (assumed pointed)."""
     col = A.column(index - 1)
-    if all(v == 0 for v in col):
+    p = next((i for i, v in enumerate(col) if v != 0), None)
+    if p is None:
         return False
-    others = []
-    for j in range(A.cols):
-        if j == index - 1:
-            continue
-        other = A.column(j)
-        # Skip positive multiples of the candidate ray.
-        cross_zero = all(
-            col[i] * other[k] == col[k] * other[i]
-            for i in range(A.rows)
-            for k in range(i + 1, A.rows)
-        )
-        same_direction = cross_zero and sum(
-            c * o for c, o in zip(col, other)
-        ) > 0
-        if not same_direction:
-            others.append(j)
+    # Every column but the positive multiples t * col (col included):
+    # t > 0 exists iff col[p] * other == other[p] * col and
+    # col[p] * other[p] > 0, with p the first nonzero row of col.
+    others = [
+        j for j, other in enumerate(A.to_columns())
+        if col[p] * other[p] <= 0
+        or any(col[p] * o != other[p] * c for c, o in zip(col, other))
+    ]
     if not others:
         return True
     sub = A.take_columns(others)
@@ -388,9 +366,12 @@ def sparsity_bounds(
     basis. The pointed-cone bound is computed only when the cone of
     columns is full-dimensional and pointed, no column is zero, and the
     designated column (default: first that passes the test) spans an
-    extreme ray.
+    extreme ray. Raises DimensionMismatch when `extreme_ray_index` is not
+    a column index in 1..n.
     """
     m, n = A.rows, A.cols
+    if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
+        raise DimensionMismatch(f"extreme ray index {extreme_ray_index} is outside 1..{n}")
     try:
         g = gcd_maximal_minors(A)
     except RankDeficient:

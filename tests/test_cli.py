@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 from sparsedioph.cli import run
 
@@ -196,3 +197,27 @@ def test_big_integers_survive_json():
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["factors"] == [["2", "80"]]
+
+
+def test_bounds_extreme_ray_out_of_range():
+    for index in ("0", "-1", "4"):
+        code, out, err = invoke(
+            ["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", index]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: DimensionMismatch: extreme ray index {index} is outside 1..3\n"
+
+
+def test_integers_beyond_the_default_digit_limit_round_trip():
+    digits = "9" * 4999 + "7"
+    # Builds that predate the limit have no getter.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = invoke(["solve-dioph", "--matrix", "1", "--rhs", digits])
+    assert (code, err) == (0, "")
+    assert f"result.x = {digits}\n" in out
+    code, out, err = invoke(["solve-dioph", "--matrix", "1", "--rhs", digits, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["x"] == [digits]
+    assert get_limit() == limit

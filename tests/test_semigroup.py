@@ -1,10 +1,14 @@
+import importlib
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsedioph import (
     CapExceeded,
+    DimensionMismatch,
     HypothesisViolated,
     InfeasibleInput,
     IntMatrix,
@@ -14,17 +18,57 @@ from sparsedioph import (
     NotPositivelySpanning,
     RankDeficient,
     caratheodory_cone_rep,
+    first_nonsingular_basis,
     gcd_maximal_minors,
     kernel_vector_pigeonhole,
+    min_support_exact,
     omega,
     positively_spans,
     reduce_knapsack_support,
     solve_knapsack_mixed,
     solve_knapsack_positive,
     solve_semigroup_posspan,
+    sparsify,
     sparsity_bounds,
 )
 from oracles import knapsack_min_support_dfs, pointed_cone_bound_enumerated
+
+semigroup = importlib.import_module("sparsedioph.semigroup")
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts calls of the phase-I LP made inside the semigroup module."""
+    calls = [0]
+    true_lp = semigroup.basic_feasible_point
+
+    def counting(rows, rhs):
+        calls[0] += 1
+        return true_lp(rows, rhs)
+
+    monkeypatch.setattr(semigroup, "basic_feasible_point", counting)
+    return calls
+
+
+@st.composite
+def spanning_instances(draw):
+    """Positively spanning A with small entries and b = A c for integer c.
+
+    A drawn matrix that does not span gets its last column replaced by
+    minus the sum of the others; the all-ones vector is then in the
+    kernel, so it spans iff it has full row rank.
+    """
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 6))
+    column = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    A = IntMatrix.from_columns(cols)
+    if not positively_spans(A):
+        cols[-1] = [-sum(c[i] for c in cols[:-1]) for i in range(m)]
+        A = IntMatrix.from_columns(cols)
+        assume(positively_spans(A))
+    c = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return A, A.mat_vec(c)
 
 
 class TestPositivelySpans:
@@ -130,6 +174,46 @@ class TestSolveSemigroupPosspan:
             assert A.mat_vec(report.x) == b
             assert all(v >= 0 for v in report.x)
             assert report.support_size <= report.bound
+
+    def test_at_most_two_lps_per_solve(self, lp_calls):
+        # One LP decides positive spanning, one builds the lifting kernel
+        # vector; instances whose lattice solution is already nonnegative
+        # need only the first.
+        rng = random.Random(37)
+        lifted = 0
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            n = rng.randint(m + 1, 7)
+            A = IntMatrix.from_rows(
+                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            )
+            if not positively_spans(A):
+                continue
+            b = A.mat_vec([rng.randint(-4, 4) for _ in range(n)])
+            lp_calls[0] = 0
+            solve_semigroup_posspan(A, b, first_nonsingular_basis(A))
+            assert lp_calls[0] <= 2
+            lifted += lp_calls[0] == 2
+        assert lifted > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(spanning_instances())
+    def test_lift_is_exact_nonnegative_and_sparse(self, instance):
+        A, b = instance
+        m = A.rows
+        tau = first_nonsingular_basis(A)
+        report = solve_semigroup_posspan(A, b, tau)
+        assert report is not None
+        assert A.mat_vec(report.x) == b
+        assert all(v >= 0 for v in report.x)
+        gamma = sparsify(A, tau).gamma
+        assert report.support_size <= len(gamma) + m <= report.bound
+        cap = max(report.x)
+        if m <= 2 and A.cols <= 5 and cap <= 8:
+            # x itself lies in the oracle's search regime, so the oracle
+            # must find a support no larger than x's.
+            best = min_support_exact(A, b, coord_cap=max(cap, 1))
+            assert best is not None and best <= report.support_size
 
 
 class TestKernelVectorPigeonhole:
@@ -292,6 +376,17 @@ class TestSolveKnapsackMixed:
             assert report.bound == 2 + min(omega(abs(v) // g) for v in a)
             assert report.support_size <= report.bound
 
+    def test_at_most_one_lp_per_singleton_basis(self, lp_calls):
+        rng = random.Random(67)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            a = [rng.randint(1, 40) for _ in range(n)]
+            a[0] = -a[0]
+            rng.shuffle(a)
+            lp_calls[0] = 0
+            solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60))
+            assert lp_calls[0] <= n
+
 
 class TestSparsityBounds:
     def test_positive_row(self):
@@ -345,10 +440,30 @@ class TestSparsityBounds:
         assert report.gcd_A == 2
         assert report.knapsack_bound == 1 + (6 // 2).bit_length() - 1
 
+    def test_extreme_ray_index_out_of_range(self):
+        A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 7]])
+        for index in (0, -1, 4):
+            with pytest.raises(DimensionMismatch, match=f"^extreme ray index {index} "):
+                sparsity_bounds(A, extreme_ray_index=index)
+        assert sparsity_bounds(A, extreme_ray_index=3).pointed_cone_bound is not None
+
     def test_pointed_cone_bound_matches_enumeration(self):
         # Rows of nonnegative entries, each negated at random: the cone
         # stays pointed. Every extreme ray is compared with the enumerated
-        # sum of squared minors through it; n = m and n = 1 are included.
+        # sum of squared minors through it; n = m and n = 1 are included,
+        # and so is each instance with its first column duplicated and
+        # with its last column scaled by 2 appended.
+        def check_every_ray(A):
+            default = sparsity_bounds(A).pointed_cone_bound
+            g = gcd_maximal_minors(A)
+            extreme = []
+            for j in range(1, A.cols + 1):
+                bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
+                if bound is not None:
+                    assert bound == pointed_cone_bound_enumerated(A, j, g)
+                    extreme.append(bound)
+            assert extreme and default == extreme[0]
+
         rng = random.Random(72)
         instances = 0
         while instances < 120:
@@ -360,15 +475,10 @@ class TestSparsityBounds:
             if any(not any(A.column(j)) for j in range(n)):
                 continue
             try:
-                default = sparsity_bounds(A).pointed_cone_bound
+                check_every_ray(A)
             except RankDeficient:
                 continue
-            g = gcd_maximal_minors(A)
-            extreme = []
-            for j in range(1, n + 1):
-                bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
-                if bound is not None:
-                    assert bound == pointed_cone_bound_enumerated(A, j, g)
-                    extreme.append(bound)
-            assert extreme and default == extreme[0]
+            cols = A.to_columns()
+            check_every_ray(IntMatrix.from_columns([cols[0]] + cols))
+            check_every_ray(IntMatrix.from_columns(cols + [[2 * v for v in cols[-1]]]))
             instances += 1
