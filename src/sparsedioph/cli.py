@@ -11,6 +11,7 @@ ever truncated. Exit codes: 0 solved/feasible, 2 proven infeasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -125,6 +126,8 @@ def _solution_block(A: IntMatrix, b, report: SolutionReport) -> tuple[dict, dict
         "bound": _s(report.bound),
         "bound_name": report.bound_name,
     }
+    if not report.bound_exact:
+        result["bound_exact"] = False
     return result, verified
 
 
@@ -197,6 +200,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Building the parser costs ~30 times what parsing does; one per
+    # process serves every run, since parse_args keeps no state.
+    return build_parser()
+
+
 def _cmd_sparsify(args, out) -> int:
     A = _load_matrix(args)
     tau = _tau_or_default(args, A)
@@ -213,6 +223,8 @@ def _cmd_sparsify(args, out) -> int:
         },
         "verified": {"lattice_fingerprint_match": cert.lattice_fingerprint_match},
     }
+    if not cert.bound_exact:
+        doc["result"]["bound_exact"] = False
     _emit(doc, args.json, out)
     return EXIT_OK
 
@@ -306,6 +318,8 @@ def _cmd_bounds(args, out) -> int:
             "gcd": _s(report.gcd_A),
         },
     }
+    if not report.thm1_bound_exact:
+        doc["result"]["thm1_bound_exact"] = False
     _emit(doc, args.json, out)
     return EXIT_OK
 
@@ -401,9 +415,8 @@ def run(argv, out=None, err=None) -> int:
 def _run(argv, out, err) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,12 +21,17 @@ BOUND_POSITIVE_KNAPSACK = "positive-knapsack"
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """A solution vector together with the sparsity bound it satisfies."""
+    """A solution vector together with the sparsity bound it satisfies.
+
+    `bound_exact` is False when `bound` is a certified upper bound on the
+    named bound rather than its exact value.
+    """
 
     x: IntVector
     support_size: int
     bound: int
     bound_name: str
+    bound_exact: bool = True
 
 
 def support_size(x: Sequence[int]) -> int:
@@ -65,4 +70,5 @@ def solve_sparse_lattice(
         support_size=support_size(x),
         bound=cert.bound,
         bound_name=BOUND_LATTICE,
+        bound_exact=cert.bound_exact,
     )

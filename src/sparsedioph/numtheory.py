@@ -1,10 +1,19 @@
 """Integer factorization and prime-counting functions.
 
-Factorization uses trial division for the bulk of desk-scale inputs and
-falls back to Pollard's rho (Brent variant) guarded by a deterministic
-Miller-Rabin test. Primality is deterministic for anything below 3.3e24,
-which covers every 64-bit input; larger numbers get 40 extra pseudo-random
-rounds seeded from the input so results stay reproducible.
+One private splitter serves every caller. It strips 2 and 3, trial-divides
+below 1000, and then works through a stack of cofactors: each one is
+tested with Miller-Rabin first and only a composite goes to Pollard's rho
+(Brent's variant) under an iteration budget. Primality is deterministic
+below 3.3e24, which covers every 64-bit input; larger numbers get 40
+extra pseudo-random rounds seeded from the input so results stay
+reproducible.
+
+`factorize` gives rho a large budget and raises FactorizationTimeout when
+a cofactor resists it. `omega_truncated_upper` serves the sparsity bounds,
+which need a number rather than a factorization: it gives rho a small
+budget, trial-divides a resisting cofactor c up to TRIAL_DIVISION_LIMIT = L,
+and, if c is still composite, counts it as floor(log_L c) prime factors,
+which is an upper bound because each of them exceeds L.
 """
 
 from __future__ import annotations
@@ -17,6 +26,15 @@ from .errors import FactorizationTimeout, NonPositive
 
 TRIAL_DIVISION_LIMIT = 10**6
 DEFAULT_RHO_ITERATION_CAP = 10**7
+# Every input is trial-divided by d and d + 2 for d = 5, 11, ... below
+# this number, which has the form 6k - 1 so that the longer trial division
+# of a resisting cofactor can resume at it.
+_SMALL_TRIAL_LIMIT = 1001
+# Rho budget for the certified bounds. Rho spends about sqrt(p) iterations
+# to find a prime factor p, so this splits off factors below about 2^26
+# almost always, at a cost of tens of milliseconds on 110-240 bit
+# cofactors.
+_BOUND_RHO_ITERATION_CAP = 3 * 10**4
 
 # Witness set proving primality for all n < 3_317_044_064_679_887_385_961_981.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -112,8 +130,29 @@ def _pollard_rho(n: int, iteration_cap: int) -> int:
     raise FactorizationTimeout(f"rho failed to split {n}")
 
 
-def factorize(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Factorization:
-    """Prime factorization of a positive integer; z = 1 gives no factors."""
+def _trial_divide(v: int, start: int, limit: int, counts: dict[int, int]) -> int:
+    """Divide v by d and d + 2 for d = start, start + 6, ... below limit,
+    as often as they go, counting each divisor in `counts`. start has the
+    form 6k - 1 and v has no prime factor below it, so only primes divide.
+    Returns the cofactor, which is 1 or a prime when the loop stops on
+    d * d > v."""
+    d = start
+    while d < limit and d * d <= v:
+        for cand in (d, d + 2):
+            while v % cand == 0:
+                counts[cand] = counts.get(cand, 0) + 1
+                v //= cand
+        d += 6
+    return v
+
+
+def _split(z: int, rho_cap: int) -> tuple[dict[int, int], list[int]]:
+    """Prime multiplicities of z, and the cofactors rho could not split.
+
+    The product of the primes (with multiplicity) and the stuck cofactors
+    is z; every stuck cofactor is composite with no prime factor below
+    _SMALL_TRIAL_LIMIT.
+    """
     if z <= 0:
         raise NonPositive(f"cannot factorize {z}")
     counts: dict[int, int] = {}
@@ -122,24 +161,35 @@ def factorize(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Fac
         while remaining % d == 0:
             counts[d] = counts.get(d, 0) + 1
             remaining //= d
-    d = 5
-    while d <= TRIAL_DIVISION_LIMIT and d * d <= remaining:
-        for cand in (d, d + 2):
-            while remaining % cand == 0:
-                counts[cand] = counts.get(cand, 0) + 1
-                remaining //= cand
-        d += 6
+    remaining = _trial_divide(remaining, 5, _SMALL_TRIAL_LIMIT, counts)
     stack = [remaining] if remaining > 1 else []
+    stuck: list[int] = []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_probable_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
-        f = _pollard_rho(v, rho_iteration_cap)
+        try:
+            f = _pollard_rho(v, rho_cap)
+        except FactorizationTimeout:
+            stuck.append(v)
+            continue
         stack.append(f)
         stack.append(v // f)
+    return counts, stuck
+
+
+def factorize(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Factorization:
+    """Prime factorization of a positive integer; z = 1 gives no factors.
+
+    Raises FactorizationTimeout when Pollard's rho cannot split a cofactor
+    within `rho_iteration_cap` iterations.
+    """
+    counts, stuck = _split(z, rho_iteration_cap)
+    if stuck:
+        raise FactorizationTimeout(
+            f"rho exceeded {rho_iteration_cap} iterations on {stuck[0]}"
+        )
     return Factorization(tuple(sorted(counts.items())))
 
 
@@ -148,6 +198,35 @@ def omega_truncated(z: int, m: int) -> int:
     if m < 1:
         raise NonPositive(f"threshold must be >= 1, got {m}")
     return sum(min(s, m) for _, s in factorize(z).factors)
+
+
+def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
+    """Certified upper bound on omega_truncated(z, m), and whether it is exact.
+
+    Needs no full factorization. A cofactor c that rho cannot split within
+    a small budget is trial-divided up to L = TRIAL_DIVISION_LIMIT; a
+    prime left over counts once, and a composite one adds floor(log_L c),
+    since all its prime factors exceed L. Counting it apart from primes
+    found elsewhere keeps the bound, as min(a + b, m) <= min(a, m) + b.
+    The bound is exact iff no composite is left over.
+    """
+    if m < 1:
+        raise NonPositive(f"threshold must be >= 1, got {m}")
+    counts, stuck = _split(z, _BOUND_RHO_ITERATION_CAP)
+    unsplit = 0
+    for c in stuck:
+        c = _trial_divide(c, _SMALL_TRIAL_LIMIT, TRIAL_DIVISION_LIMIT + 1, counts)
+        if c == 1:
+            continue
+        if is_probable_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+            continue
+        power = TRIAL_DIVISION_LIMIT
+        while power <= c:
+            power *= TRIAL_DIVISION_LIMIT
+            unsplit += 1
+    value = sum(min(s, m) for s in counts.values()) + unsplit
+    return value, unsplit == 0
 
 
 def omega(z: int) -> int:

@@ -52,8 +52,8 @@ from .intlinalg import (
     gcd_maximal_minors,
     hnf_basis,
 )
-from .numtheory import omega, omega_truncated
-from .sparsify import IndexSet, check_index_set, first_nonsingular_basis, sparsify
+from .numtheory import omega, omega_truncated_upper
+from .sparsify import IndexSet, basis_det, first_nonsingular_basis, sparsify
 
 DEFAULT_B_CAP = 10**7
 
@@ -64,7 +64,8 @@ class BoundsReport:
 
     `pointed_cone_bound` and `knapsack_bound` are None when their
     hypotheses fail. The pointed-cone value is reported as a diagnostic
-    only; no algorithm here attains it.
+    only; no algorithm here attains it. `thm1_semigroup_bound` is a
+    certified upper bound, exact iff `thm1_bound_exact`.
     """
 
     adno_bound: int
@@ -72,6 +73,7 @@ class BoundsReport:
     pointed_cone_bound: Optional[int]
     knapsack_bound: Optional[int]
     gcd_A: int
+    thm1_bound_exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,9 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionRepor
     return SolutionReport(
         x=x,
         support_size=support_size(x),
-        bound=2 * A.rows + omega_truncated(cert.delta, A.rows),
+        bound=A.rows + cert.bound,
         bound_name=BOUND_POSITIVE_SPAN,
+        bound_exact=cert.bound_exact,
     )
 
 
@@ -367,7 +370,8 @@ def sparsity_bounds(
     columns is full-dimensional and pointed, no column is zero, and the
     designated column (default: first that passes the test) spans an
     extreme ray. Raises DimensionMismatch when `extreme_ray_index` is not
-    a column index in 1..n.
+    a column index in 1..n or tau is not a set of m column indices, and
+    SingularBasis when the columns of tau are dependent.
     """
     m, n = A.rows, A.cols
     if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
@@ -380,10 +384,8 @@ def sparsity_bounds(
     adno = m + _floor_log2_sqrt(gram_det // (g * g))
     if tau is None:
         tau = first_nonsingular_basis(A)
-    else:
-        tau = check_index_set(tau, n)
-    delta = abs(det_exact(A.take_columns([i - 1 for i in tau]))) // g
-    thm1 = 2 * m + omega_truncated(delta, m)
+    delta = abs(basis_det(A, tau)[1]) // g
+    omega_m, thm1_exact = omega_truncated_upper(delta, m)
 
     knapsack = None
     row = A.row(0) if m == 1 else ()
@@ -409,8 +411,9 @@ def sparsity_bounds(
                 pointed = m + _floor_log2_sqrt(q_squared // (g * g))
     return BoundsReport(
         adno_bound=adno,
-        thm1_semigroup_bound=thm1,
+        thm1_semigroup_bound=2 * m + omega_m,
         pointed_cone_bound=pointed,
         knapsack_bound=knapsack,
         gcd_A=g,
+        thm1_bound_exact=thm1_exact,
     )

@@ -7,7 +7,10 @@ span the same lattice as all of A, with
     |gamma| <= m + omega_truncated(|det(A_tau)| / gcd(A), m),
 
 i.e. m plus the number of prime factors of the basis determinant (divided
-by the minor gcd), multiplicities capped at m. The companion
+by the minor gcd), multiplicities capped at m. The reported bound is the
+certified upper bound of `omega_truncated_upper`, which equals the
+right-hand side unless a factor of delta resists a short search; the
+certificate says which. The companion
 `worst_case_instance` builds matrices on which that inequality is tight,
 and `verify_tightness` certifies tightness by exhaustive subset search.
 
@@ -34,7 +37,7 @@ from .intlinalg import (
     hnf_basis,
     lattice_equal,
 )
-from .numtheory import factorize, omega_truncated
+from .numtheory import factorize, omega_truncated, omega_truncated_upper
 
 IndexSet = tuple[int, ...]
 
@@ -55,10 +58,10 @@ def check_index_set(indices, n: int) -> IndexSet:
 class SparsifyCertificate:
     """Verifiable result of a sparsification run.
 
-    `delta` is |det(A_tau)| / gcd(A); `bound` is
-    m + omega_truncated(delta, m), and `lattice_fingerprint_match` records
-    that the kept columns reproduce the canonical Hermite fingerprint of
-    the full matrix.
+    `delta` is |det(A_tau)| / gcd(A); `bound` is an upper bound on
+    m + omega_truncated(delta, m), equal to it iff `bound_exact`, and
+    `lattice_fingerprint_match` records that the kept columns reproduce
+    the canonical Hermite fingerprint of the full matrix.
     """
 
     tau: IndexSet
@@ -66,6 +69,22 @@ class SparsifyCertificate:
     bound: int
     delta: int
     lattice_fingerprint_match: bool
+    bound_exact: bool = True
+
+
+def basis_det(A: IntMatrix, tau) -> tuple[IndexSet, int]:
+    """Validated basis tau of m column indices and det(A_tau), never 0.
+
+    Raises DimensionMismatch unless tau is a strictly increasing set of m
+    indices in 1..n, and SingularBasis when its columns are dependent.
+    """
+    tau = check_index_set(tau, A.cols)
+    if len(tau) != A.rows:
+        raise DimensionMismatch(f"basis needs {A.rows} indices, got {len(tau)}")
+    det_tau = det_exact(A.take_columns([i - 1 for i in tau]))
+    if det_tau == 0:
+        raise SingularBasis(f"columns {tau} are linearly dependent")
+    return tau, det_tau
 
 
 def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
@@ -107,13 +126,8 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     |det(A_tau)|.
     """
     m, n = A.rows, A.cols
-    tau = check_index_set(tau, n)
-    if len(tau) != m:
-        raise DimensionMismatch(f"basis needs {m} indices, got {len(tau)}")
+    tau, det_tau = basis_det(A, tau)
     tau0 = [i - 1 for i in tau]
-    det_tau = det_exact(A.take_columns(tau0))
-    if det_tau == 0:
-        raise SingularBasis(f"columns {tau} are linearly dependent")
     columns = A.to_columns()
     rest = [j for j in range(n) if j not in tau0]
     # suffix[k] is the basis of tau plus rest[k:].
@@ -128,14 +142,20 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
         if hnf_basis(suffix[k + 1] + [columns[i] for i in kept], m) != full:
             kept.append(j)
     gamma = tuple(sorted(j + 1 for j in kept + tau0))
-    bound = m + omega_truncated(delta, m)
+    omega_m, exact = omega_truncated_upper(delta, m)
+    bound = m + omega_m
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
     match = hnf_basis([columns[j - 1] for j in gamma], m) == full
     if not match:
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(
-        tau=tau, gamma=gamma, bound=bound, delta=delta, lattice_fingerprint_match=match
+        tau=tau,
+        gamma=gamma,
+        bound=bound,
+        delta=delta,
+        lattice_fingerprint_match=match,
+        bound_exact=exact,
     )
 
 
@@ -180,13 +200,8 @@ def verify_tightness(A: IntMatrix, tau, max_columns: int = EXHAUSTIVE_COLUMN_CAP
     m, n = A.rows, A.cols
     if n > max_columns:
         raise TooLargeForExhaustive(f"{n} columns > cap {max_columns}")
-    tau = check_index_set(tau, n)
-    if len(tau) != m:
-        raise DimensionMismatch(f"basis needs {m} indices, got {len(tau)}")
+    tau, det_tau = basis_det(A, tau)
     tau0 = [i - 1 for i in tau]
-    det_tau = det_exact(A.take_columns(tau0))
-    if det_tau == 0:
-        raise SingularBasis(f"columns {tau} are linearly dependent")
     g = gcd_maximal_minors(A)
     bound = m + omega_truncated(abs(det_tau) // g, m)
     rest = [j for j in range(n) if j not in tau0]

@@ -3,6 +3,9 @@
 Everything here deliberately avoids the code paths under test: the
 determinant is a permutation expansion, factorization is plain trial
 division, and knapsack minima come from depth-first enumeration. The
+superseded trial-first factorization (trial division up to 10^6 before
+any primality test or rho) is kept as a reference for the splitter that
+replaced it. The
 superseded sparsify (one membership solve per column) and basis choice
 (a C(n, m) subset scan) are kept here as references; they run on
 `hnf_columns` and `lattice_member` with their transforms, not on the
@@ -23,6 +26,14 @@ from sparsedioph import (
     lattice_equal,
     lattice_member,
     omega_truncated,
+)
+from sparsedioph.errors import NonPositive
+from sparsedioph.numtheory import (
+    DEFAULT_RHO_ITERATION_CAP,
+    TRIAL_DIVISION_LIMIT,
+    Factorization,
+    _pollard_rho,
+    is_probable_prime,
 )
 from sparsedioph.sparsify import check_index_set
 
@@ -77,6 +88,37 @@ def trial_factorize(z: int) -> list[tuple[int, int]]:
     if z > 1:
         out.append((z, 1))
     return out
+
+
+def factorize_trial_first(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Factorization:
+    """Prime factorization of a positive integer; z = 1 gives no factors."""
+    if z <= 0:
+        raise NonPositive(f"cannot factorize {z}")
+    counts: dict[int, int] = {}
+    remaining = z
+    for d in (2, 3):
+        while remaining % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            remaining //= d
+    d = 5
+    while d <= TRIAL_DIVISION_LIMIT and d * d <= remaining:
+        for cand in (d, d + 2):
+            while remaining % cand == 0:
+                counts[cand] = counts.get(cand, 0) + 1
+                remaining //= cand
+        d += 6
+    stack = [remaining] if remaining > 1 else []
+    while stack:
+        v = stack.pop()
+        if v == 1:
+            continue
+        if is_probable_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        f = _pollard_rho(v, rho_iteration_cap)
+        stack.append(f)
+        stack.append(v // f)
+    return Factorization(tuple(sorted(counts.items())))
 
 
 def random_matrix(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:

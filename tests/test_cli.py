@@ -1,8 +1,15 @@
 import io
 import json
 import sys
+import time
 
+from sparsedioph import cli
 from sparsedioph.cli import run
+
+# Two primes just above 2^45. Their product is the basis determinant of
+# HARD; it resists the short rho search behind the reported bounds.
+P45, Q45 = 35184372088891, 35184372088907
+HARD = f"{P45} 0 -1; 0 {Q45} -1"
 
 
 def invoke(argv, env=None, monkeypatch=None):
@@ -221,3 +228,70 @@ def test_integers_beyond_the_default_digit_limit_round_trip():
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["x"] == [digits]
     assert get_limit() == limit
+
+
+def test_unsplit_delta_gives_a_certified_bound():
+    # Exact bounds: m + Omega_m(P45 * Q45) = 4, and 6 for the semigroup;
+    # the certified ones count the unsplit cofactor as 4 primes.
+    runs = (
+        (["sparsify", "--matrix", HARD], "6"),
+        (["solve-dioph", "--matrix", HARD, "--rhs", "1 1"], "6"),
+        (["solve-semigroup", "--matrix", HARD, "--rhs", "1 1"], "8"),
+    )
+    for argv, bound in runs:
+        started = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert f"result.bound = {bound}\n" in out
+        assert "result.bound_exact = False\n" in out
+        code, out, err = invoke(argv + ["--json"])
+        assert time.perf_counter() - started < 1.0
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["bound"] == bound and result["bound_exact"] is False
+    code, out, err = invoke(["bounds", "--matrix", HARD, "--json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["thm1_semigroup_bound"] == "8" and result["thm1_bound_exact"] is False
+
+
+def test_exact_bounds_carry_no_exactness_key():
+    for argv in (
+        ["sparsify", "--matrix", "6 10 15", "--tau", "1"],
+        ["solve-dioph", "--matrix", "4 6 9 15", "--rhs", "1"],
+        ["solve-semigroup", "--matrix", "1 0 -1; 0 1 -1", "--rhs", "-2 -2"],
+        ["knapsack", "--mixed", "--a", "4 9 -15", "--b", "2"],
+        ["bounds", "--matrix", "2 0 4; 0 2 2"],
+    ):
+        for fmt in ([], ["--json"]):
+            code, out, err = invoke(argv + fmt)
+            assert (code, err) == (0, "")
+            assert "bound_exact" not in out
+
+
+def test_bounds_tau_is_validated():
+    code, out, err = invoke(["bounds", "--matrix", "1 2 3;2 4 5", "--tau", "1 2"])
+    assert (code, out) == (1, "")
+    assert err == "error: SingularBasis: columns (1, 2) are linearly dependent\n"
+    code, out, err = invoke(["bounds", "--matrix", "1 2 3;2 4 5", "--tau", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: DimensionMismatch: basis needs 2 indices, got 1\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(None)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    argv = ["solve-dioph", "--matrix", "4 6 9 15", "--rhs", "1", "--json"]
+    first = invoke(argv)
+    assert first[0] == 0
+    assert invoke(argv) == first
+    assert invoke(["factor", "360"]) == (0, "2^3 * 3^2 * 5\n", "")
+    assert len(built) == 1
+    assert build() is not build()

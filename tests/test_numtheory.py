@@ -1,7 +1,10 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedioph import (
     FactorizationTimeout,
@@ -11,11 +14,36 @@ from sparsedioph import (
     factorize,
     is_probable_prime,
     kappa_from_cyclic_orders,
+    numtheory,
     omega,
     omega_truncated,
+    omega_truncated_upper,
     snf,
 )
-from oracles import random_matrix, trial_factorize
+from oracles import factorize_trial_first, random_matrix, trial_factorize
+
+
+def next_prime(n: int) -> int:
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+# Rho needs millions of iterations to split a product of two primes
+# above 2^45, far beyond the budget of omega_truncated_upper.
+P45 = next_prime(2**45)
+Q45 = next_prime(P45 + 1)
+
+# Primes below 10^3 (trial division), 10^3 to 10^6 (trial division before,
+# rho now) and 2^20 to 2^40 (Miller-Rabin once the rest is split off; at
+# most one, so that rho never has to find one); a few primes slightly
+# overshoot their range.
+small_primes = st.one_of(st.integers(2, 996), st.integers(10**3, 10**6)).map(next_prime)
+large_primes = st.integers(2**20, 2**40).map(next_prime)
+prime_products = st.tuples(
+    st.lists(st.tuples(small_primes, st.integers(1, 3)), max_size=3),
+    st.one_of(st.just(1), large_primes),
+).map(lambda t: t[1] * math.prod(p**s for p, s in t[0]))
 
 
 class TestFactorize:
@@ -52,6 +80,13 @@ class TestFactorize:
     def test_rho_iteration_cap(self):
         with pytest.raises(FactorizationTimeout):
             factorize(1_000_003 * 1_000_033, rho_iteration_cap=1)
+        with pytest.raises(FactorizationTimeout):
+            factorize(12 * P45 * Q45, rho_iteration_cap=10**4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prime_products)
+    def test_matches_trial_first_factorization(self, z):
+        assert factorize(z) == factorize_trial_first(z)
 
 
 class TestPrimality:
@@ -101,6 +136,35 @@ class TestOmega:
             assert prev == big
             if z >= 2:
                 assert big <= math.floor(math.log2(z))
+
+
+class TestOmegaTruncatedUpper:
+    @settings(max_examples=40, deadline=None)
+    @given(prime_products, st.integers(1, 4))
+    def test_exact_or_above(self, z, m):
+        value, exact = omega_truncated_upper(z, m)
+        truth = omega_truncated(z, m)
+        assert value == truth if exact else value >= truth
+
+    def test_unsplit_semiprime(self):
+        # floor(log_{10^6} c) for the unsplit cofactor c, plus the rest;
+        # the exact values are 2, 4 and 3.
+        assert omega_truncated_upper(P45 * Q45, 2) == (4, False)
+        assert omega_truncated_upper(12 * P45 * Q45, 1) == (6, False)
+        assert omega_truncated_upper(P45**2 * Q45, 3) == (6, False)
+
+    def test_trial_division_finishes_what_rho_leaves(self):
+        with mock.patch.object(numtheory, "_BOUND_RHO_ITERATION_CAP", 0):
+            assert omega_truncated_upper(1009 * 1009 * 999983, 1) == (2, True)
+            assert omega_truncated_upper(1009 * 1013 * 999983, 3) == (3, True)
+            assert omega_truncated_upper(1009 * P45, 3) == (2, True)
+            assert omega_truncated_upper(1009 * P45 * Q45, 3) == (5, False)
+
+    def test_requires_positive_arguments(self):
+        with pytest.raises(NonPositive):
+            omega_truncated_upper(0, 1)
+        with pytest.raises(NonPositive):
+            omega_truncated_upper(12, 0)
 
 
 class TestKappa:

@@ -17,6 +17,7 @@ from sparsedioph import (
     NotInCone,
     NotPositivelySpanning,
     RankDeficient,
+    SingularBasis,
     caratheodory_cone_rep,
     first_nonsingular_basis,
     gcd_maximal_minors,
@@ -446,6 +447,16 @@ class TestSparsityBounds:
             with pytest.raises(DimensionMismatch, match=f"^extreme ray index {index} "):
                 sparsity_bounds(A, extreme_ray_index=index)
         assert sparsity_bounds(A, extreme_ray_index=3).pointed_cone_bound is not None
+
+    def test_tau_is_validated_like_sparsify(self):
+        A = IntMatrix.from_rows([[1, 2, 3], [2, 4, 5]])
+        with pytest.raises(SingularBasis, match=r"^columns \(1, 2\) are linearly dependent$"):
+            sparsity_bounds(A, tau=(1, 2))
+        with pytest.raises(DimensionMismatch, match="^basis needs 2 indices, got 1$"):
+            sparsity_bounds(A, tau=(1,))
+        with pytest.raises(DimensionMismatch, match="^basis needs 2 indices, got 1$"):
+            sparsify(A, (1,))
+        assert sparsity_bounds(A, tau=(1, 3)).thm1_semigroup_bound == 4
 
     def test_pointed_cone_bound_matches_enumeration(self):
         # Rows of nonnegative entries, each negated at random: the cone
