@@ -366,13 +366,16 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_icr_scan(args, out) -> int:
     a = parse_inline_vector(args.a, source="--a")
-    value = icr_scan(a, args.b_max)
-    doc = {
-        "command": "icr-scan",
-        "instance": {"a": _vec(a), "b_max": _s(args.b_max)},
-        "status": "solved",
-        "result": {"icr_lower_bound": _s(value)},
-    }
+    doc = {"command": "icr-scan", "instance": {"a": _vec(a), "b_max": _s(args.b_max)}}
+    try:
+        value = icr_scan(a, args.b_max)
+    except CapExceeded as exc:
+        doc["status"] = "undetermined"
+        doc["reason"] = str(exc)
+        _emit(doc, args.json, out)
+        return EXIT_UNDETERMINED
+    doc["status"] = "solved"
+    doc["result"] = {"icr_lower_bound": _s(value)}
     _emit(doc, args.json, out)
     return EXIT_OK
 

@@ -1,14 +1,21 @@
 """Exact rational LP feasibility via phase-I simplex with Bland's rule.
 
 The only question asked here is whether {x : A x = b, x >= 0} is nonempty,
-and if so, for a basic feasible point of it. All arithmetic is done in
-`fractions.Fraction`, so answers are exact; Bland's smallest-index pivot
-rule guarantees termination even on degenerate instances. Instances are
-small (a handful of rows), so a dense tableau is plenty.
+and if so, for a basic feasible point of it. The simplex runs fraction-free
+(Edmonds' integer-preserving elimination, as in `intlinalg.det_exact`): the
+tableau is an integer matrix T over one positive common denominator d, and
+each pivot updates T with exact integer divisions by d. Rational inputs are
+brought to integers by one common scale factor, which changes neither the
+sign of a reduced cost nor the row a ratio test picks, so the pivots are
+those of the same simplex run in `fractions.Fraction`. Answers are exact
+`Fraction`s; Bland's smallest-index pivot rule guarantees termination even
+on degenerate instances. Instances are small (a handful of rows), so a
+dense tableau is plenty.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,74 +25,90 @@ def basic_feasible_point(
 ) -> Optional[list[Fraction]]:
     """Find a basic feasible solution of {x : A x = b, x >= 0}.
 
-    Returns a list of n Fractions with at most rank(A) nonzero entries, or
-    None when the system is infeasible. Redundant equality rows are
-    tolerated and dropped internally.
+    Entries may be ints or Fractions. Returns a list of n Fractions with at
+    most rank(A) nonzero entries, or None when the system is infeasible.
+    Redundant equality rows are tolerated and dropped internally.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
     if m == 0:
         return []
-    # Tableau columns: n structural + m artificial + rhs. Rows are scaled
-    # so the rhs is nonnegative, which lets the artificials start basic.
-    tableau: list[list[Fraction]] = []
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged constraint matrix")
+    # One common scale for every row and the rhs keeps the pivots of the
+    # unscaled tableau: structural reduced costs and the objective scale
+    # with it, artificial ones not at all, and each row's ratios by the
+    # same positive factor.
+    scale = math.lcm(*(v.denominator for row in rows for v in row),
+                     *(v.denominator for v in rhs))
+    # Tableau columns: n structural + m artificial + rhs; rows are negated
+    # where needed so the rhs is nonnegative and the artificials start
+    # basic. The last row holds the phase-I reduced costs (minimize the sum
+    # of artificials: c_j minus the column sum of the constraint rows).
+    width = n + m
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        if len(row) != n:
-            raise ValueError("ragged constraint matrix")
-        b = Fraction(rhs[i])
+        row = [v.numerator * (scale // v.denominator) for v in rows[i]]
+        b = rhs[i].numerator * (scale // rhs[i].denominator)
         if b < 0:
             row = [-v for v in row]
             b = -b
-        row.extend(Fraction(1 if k == i else 0) for k in range(m))
+        row.extend(1 if k == i else 0 for k in range(m))
         row.append(b)
         tableau.append(row)
+    cost = [-sum(col) for col in zip(*tableau)]
+    for j in range(n, width):
+        cost[j] += 1
+    tableau.append(cost)
     basis = [n + i for i in range(m)]
-    width = n + m
+    denom = 1  # the current tableau is tableau / denom
 
-    # Phase-I objective: minimize the sum of artificials. The reduced-cost
-    # row starts as c_j - sum of the artificial rows' coefficients.
-    cost = [Fraction(0)] * (width + 1)
-    for j in range(width):
-        cost[j] = (Fraction(1) if j >= n else Fraction(0)) - sum(
-            tableau[i][j] for i in range(m)
-        )
-    cost[width] = -sum(tableau[i][width] for i in range(m))
-
-    def pivot(row: int, col: int):
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
-        for i in range(m):
-            if i != row and tableau[i][col] != 0:
-                f = tableau[i][col]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[row])]
-        if cost[col] != 0:
-            f = cost[col]
-            for j in range(width + 1):
-                cost[j] -= f * tableau[row][j]
-        basis[row] = col
+    def pivot(r: int, c: int):
+        nonlocal denom
+        prow = tableau[r]
+        p = prow[c]
+        if p < 0:
+            # Only when an artificial at level zero is driven out. Negating
+            # the pivot row keeps denom positive, so the signs of T stay
+            # those of the tableau.
+            prow = tableau[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(tableau):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                tableau[i] = [(v * p - f * w) // denom for v, w in zip(row, prow)]
+            elif p != denom:
+                tableau[i] = [v * p // denom for v in row]
+        denom = p
+        basis[r] = c
 
     while True:
+        cost = tableau[m]
         entering = next((j for j in range(width) if cost[j] < 0), None)
         if entering is None:
             break
+        # Ratio test by cross-multiplication (denom cancels): row i
+        # replaces the current choice on a smaller rhs / coeff, and on a
+        # tie when its basic index is smaller.
         leaving = None
-        best = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][width] * tableau[leaving][entering]
+                rhs_best = tableau[leaving][width] * coeff
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             # Phase-I objective is bounded below by zero; unreachable.
             raise AssertionError("phase-I simplex reported unbounded")
         pivot(leaving, entering)
 
-    if -cost[width] != 0:
+    if tableau[m][width] != 0:
         return None
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
@@ -98,6 +121,6 @@ def basic_feasible_point(
 
     x = [Fraction(0)] * n
     for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][width]
+        if basis[i] < n and tableau[i][width]:
+            x[basis[i]] = Fraction(tableau[i][width], denom)
     return x

@@ -18,10 +18,12 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .errors import NonPositive
+from .errors import CapExceeded, NonPositive
 from .intlinalg import IntMatrix, as_vector
 
 DEFAULT_COORD_CAP = 50
+# icr_scan keeps bitsets of b_max/gcd + 1 bits, several per subset.
+ICR_SCAN_CAP = 10**7
 
 
 def _closure_bitset(coins: Sequence[int], limit: int) -> int:
@@ -135,6 +137,7 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
     This is a lower bound for the integer Caratheodory rank of the row a:
     the scan cannot rule out worse right-hand sides beyond b_max. Exact
     per-value answers come from subset-wise bitset dynamic programming.
+    Raises CapExceeded when b_max/gcd(a) exceeds ICR_SCAN_CAP.
     """
     a = as_vector(a)
     if any(v <= 0 for v in a):
@@ -144,6 +147,8 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
     g = math.gcd(*a)
     weights = [v // g for v in a]
     limit = b_max // g
+    if limit > ICR_SCAN_CAP:
+        raise CapExceeded(f"b_max/gcd = {limit} exceeds cap {ICR_SCAN_CAP}")
     unassigned = (1 << (limit + 1)) - 2  # value 0 has support 0 already
     worst = 0
     for k in range(1, len(weights) + 1):

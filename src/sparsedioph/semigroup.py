@@ -52,7 +52,7 @@ from .intlinalg import (
     gcd_maximal_minors,
     hnf_basis,
 )
-from .numtheory import omega, omega_truncated_upper
+from .numtheory import omega_truncated_upper
 from .sparsify import IndexSet, basis_det, first_nonsingular_basis, sparsify
 
 DEFAULT_B_CAP = 10**7
@@ -108,7 +108,7 @@ def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
     for j in ones:
         z[j - 1] += 1
     scale = math.lcm(*(f.denominator for f in z))
-    y = [int(f * scale) for f in z]
+    y = [f.numerator * (scale // f.denominator) for f in z]
     content = math.gcd(*y)
     return [v // content for v in y]
 
@@ -188,7 +188,9 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     positively-spanning lift runs once per singleton basis {i} without
     repeating the spanning LP, and the sparsest outcome is returned; ties
     prefer the column whose omega(|a_i|/gcd) is smallest, then the
-    smallest index.
+    smallest index. The bound 2 + min omega(|a_i|/gcd) and the tie-break
+    use certified upper bounds on omega, which need no full factorization;
+    `bound_exact` is False when any of them may exceed the true value.
     """
     a = as_vector(a)
     if any(v == 0 for v in a):
@@ -199,19 +201,22 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     if b % g != 0:
         return None
     A = IntMatrix.row_vector(a)
-    omegas = [omega(abs(v) // g) for v in a]
+    # omega_truncated(z, 1) counts distinct primes, so these are certified
+    # upper bounds on omega(|a_i|/g), exact unless a cofactor stays unsplit.
+    omegas = [omega_truncated_upper(abs(v) // g, 1) for v in a]
     best = None
     best_key = None
     for i in range(1, len(a) + 1):
         report = _lift_posspan(A, (b,), (i,))
-        key = (report.support_size, omegas[i - 1], i)
+        key = (report.support_size, omegas[i - 1][0], i)
         if best_key is None or key < best_key:
             best, best_key = report, key
     return SolutionReport(
         x=best.x,
         support_size=best.support_size,
-        bound=2 + min(omegas),
+        bound=2 + min(value for value, _ in omegas),
         bound_name=BOUND_MIXED_KNAPSACK,
+        bound_exact=all(exact for _, exact in omegas),
     )
 
 

@@ -3,7 +3,7 @@ import json
 import sys
 import time
 
-from sparsedioph import cli
+from sparsedioph import cli, oracle
 from sparsedioph.cli import run
 
 # Two primes just above 2^45. Their product is the basis determinant of
@@ -166,6 +166,23 @@ def test_icr_scan():
     assert "result.icr_lower_bound = 2" in out
 
 
+def test_icr_scan_cap_exit_code(monkeypatch):
+    monkeypatch.setattr(oracle, "ICR_SCAN_CAP", 40)
+    code, out, _ = invoke(["icr-scan", "--a", "2 3", "--b-max", "40"])
+    assert code == 0
+    assert "result.icr_lower_bound = 2" in out
+    code, out, err = invoke(["icr-scan", "--a", "2 3", "--b-max", "41"])
+    assert (code, err) == (3, "")
+    assert "status = undetermined\n" in out
+    assert "reason = b_max/gcd = 41 exceeds cap 40\n" in out
+    assert "result" not in out
+    code, out, err = invoke(["icr-scan", "--a", "2 3", "--b-max", "41", "--json"])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["status"] == "undetermined"
+    assert doc["reason"] == "b_max/gcd = 41 exceeds cap 40"
+
+
 def test_bounds():
     code, out, _ = invoke(["bounds", "--matrix", "3 5 7"])
     assert code == 0
@@ -253,6 +270,25 @@ def test_unsplit_delta_gives_a_certified_bound():
     assert (code, err) == (0, "")
     result = json.loads(out)["result"]
     assert result["thm1_semigroup_bound"] == "8" and result["thm1_bound_exact"] is False
+
+
+def test_mixed_knapsack_with_an_unsplit_entry():
+    # The first entry is a product of two primes above 2^60; the bound
+    # 2 + omega(3) needs no factorization of it.
+    argv = ["knapsack", "--mixed", "--a", "1329227995784916015866073631529372603 -3",
+            "--b", "1"]
+    started = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert "result.bound = 3\n" in out
+    assert "result.bound_exact = False\n" in out
+    started = time.perf_counter()
+    code, out, err = invoke(argv + ["--json"])
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["bound"] == "3" and result["bound_exact"] is False
 
 
 def test_exact_bounds_carry_no_exactness_key():

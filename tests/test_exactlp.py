@@ -1,7 +1,43 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sparsedioph.exactlp import basic_feasible_point
+from oracles import basic_feasible_point_fraction
+
+ENTRY = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def lp_systems(draw):
+    """A x = b with m <= 6, n <= 9, int and Fraction entries, some rows
+    duplicated (possibly scaled) or zero, and b either A w for a
+    nonnegative w or drawn freely (often infeasible, signs mixed)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(["new", "new", "copy", "zero"]))
+        if kind == "copy" and rows:
+            source = rows[draw(st.integers(0, len(rows) - 1))]
+            factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows.append([factor * v for v in source])
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            rows.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        weight = st.sampled_from([0, 0, 1, 2, Fraction(1, 2)])
+        w = draw(st.lists(weight, min_size=n, max_size=n))
+        rhs = [sum(a * v for a, v in zip(row, w)) for row in rows]
+    else:
+        rhs = draw(st.lists(ENTRY, min_size=m, max_size=m))
+    return rows, rhs
 
 
 def test_trivial_zero_system():
@@ -55,3 +91,24 @@ def test_random_instances_are_basic():
             assert sum(r * v for r, v in zip(row, point)) == target
         assert sum(1 for v in point if v != 0) <= m
     assert feasible_seen > 40
+
+
+def test_negative_pivot_when_driving_out_an_artificial():
+    # Phase I ends with the second artificial basic at level zero over a
+    # -2 entry, so the fraction-free pivot negates its row.
+    rows = [[1, 1, 0], [1, -1, 0], [0, 0, 3]]
+    point = basic_feasible_point(rows, [0, 0, 5])
+    assert point == [0, 0, Fraction(5, 3)]
+    assert point == basic_feasible_point_fraction(rows, [0, 0, 5])
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems())
+def test_matches_the_fraction_simplex(system):
+    # Same pivots, so the same point; an inexact integer division anywhere
+    # in the tableau would change it.
+    rows, rhs = system
+    point = basic_feasible_point(rows, rhs)
+    assert point == basic_feasible_point_fraction(rows, rhs)
+    if point is not None:
+        assert all(type(v) is Fraction for v in point)

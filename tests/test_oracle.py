@@ -4,12 +4,14 @@ import random
 import pytest
 
 from sparsedioph import (
+    CapExceeded,
     IntMatrix,
     NonPositive,
     icr_scan,
     min_support_exact,
     solve_sparse_lattice,
 )
+from sparsedioph import oracle
 from oracles import knapsack_min_support_dfs, random_full_row_rank, random_nonsingular_tau
 
 
@@ -77,6 +79,14 @@ class TestIcrScan:
 
     def test_three_weights(self):
         assert icr_scan((6, 10, 15), 60) == 3
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ICR_SCAN_CAP", 40)
+        assert icr_scan((2, 3), 40) == 2
+        # The cap applies to b_max / gcd(a).
+        assert icr_scan((4, 6), 81) == 2
+        with pytest.raises(CapExceeded, match="b_max/gcd = 41 exceeds cap 40"):
+            icr_scan((2, 3), 41)
 
     def test_validation(self):
         with pytest.raises(NonPositive):

@@ -32,6 +32,7 @@ from sparsedioph import (
     sparsify,
     sparsity_bounds,
 )
+from sparsedioph.oracle import _reachable
 from oracles import knapsack_min_support_dfs, pointed_cone_bound_enumerated
 
 semigroup = importlib.import_module("sparsedioph.semigroup")
@@ -335,6 +336,22 @@ class TestSolveKnapsackPositive:
             assert best is not None
             assert best <= report.support_size <= report.bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        st.integers(0, 2000),
+    )
+    def test_none_iff_unreachable_and_support_between_oracle_and_bound(self, a, b):
+        report = solve_knapsack_positive(a, b)
+        if not _reachable(b, a):
+            assert report is None
+            return
+        assert report is not None
+        assert sum(u * v for u, v in zip(a, report.x)) == b
+        assert all(v >= 0 for v in report.x)
+        best = min_support_exact(IntMatrix.row_vector(a), (b,))
+        assert best <= report.support_size <= report.bound
+
 
 class TestSolveKnapsackMixed:
     def test_examples(self):
@@ -375,7 +392,18 @@ class TestSolveKnapsackMixed:
             assert sum(u * v for u, v in zip(a, report.x)) == b
             assert all(v >= 0 for v in report.x)
             assert report.bound == 2 + min(omega(abs(v) // g) for v in a)
+            assert report.bound_exact
             assert report.support_size <= report.bound
+
+    def test_unsplit_entry_gives_a_certified_bound(self):
+        # 1329227995784916015866073631529372603 is a product of two primes
+        # above 2^60; the bound comes from omega(3) = 1 without factoring it.
+        a = (1329227995784916015866073631529372603, -3)
+        report = solve_knapsack_mixed(a, 1)
+        assert sum(u * v for u, v in zip(a, report.x)) == 1
+        assert all(v >= 0 for v in report.x)
+        assert report.support_size <= report.bound == 3
+        assert report.bound_exact is False
 
     def test_at_most_one_lp_per_singleton_basis(self, lp_calls):
         rng = random.Random(67)
