@@ -1,0 +1,164 @@
+"""Golden transcript of the CLI: exit code, stdout and stderr of every
+subcommand in both output formats, for solved, infeasible, undetermined
+and error runs, plus the README's examples.
+
+The expected transcripts live in `cli_golden.json`. After a deliberate
+change of output, rewrite it as below and review the diff:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sparsedioph import cli, oracle
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+HARD = "35184372088891 0 -1; 0 35184372088907 -1"
+BIG_MIXED = "1329227995784916015866073631529372603 -3"
+
+FILES = {
+    "A.txt": "2 3\n6 10 15\n4 6 9\n",
+    "b.txt": "2 4\n",
+    "bad.txt": "1 3\n6 ten 15\n",
+}
+
+# name -> (argv, environment, oracle module constants); every argv also
+# runs with --json appended unless its name starts with "usage".
+CASES = {
+    # The README's CLI examples.
+    "readme-sparsify": (["sparsify", "--matrix", "6 10 15", "--tau", "1"], {}, {}),
+    "readme-solve-dioph-files": (
+        ["solve-dioph", "--matrix-file", "{tmp}/A.txt", "--rhs-file", "{tmp}/b.txt",
+         "--tau", "1 2"], {}, {}),
+    "readme-solve-semigroup": (
+        ["solve-semigroup", "--matrix", "1 0 -1; 0 1 -1", "--rhs", "-2 -2", "--tau", "1 2"],
+        {}, {}),
+    "readme-knapsack-positive": (["knapsack", "--positive", "--a", "3 5 7", "--b", "15"], {}, {}),
+    "readme-knapsack-mixed": (["knapsack", "--mixed", "--a", "4 9 -15", "--b", "2"], {}, {}),
+    "readme-bounds": (["bounds", "--matrix", "3 5 7"], {}, {}),
+    "readme-worst-case": (["worst-case", "--m", "2", "--delta", "12"], {}, {}),
+    "readme-oracle": (["oracle", "--matrix", "6 10 15", "--rhs", "30"], {}, {}),
+    "readme-icr-scan": (["icr-scan", "--a", "2 3", "--b-max", "40"], {}, {}),
+    "readme-factor": (["factor", "360"], {}, {}),
+    # Solved.
+    "sparsify-default-tau": (["sparsify", "--matrix", "2 0 4; 0 2 2"], {}, {}),
+    "sparsify-unsplit-delta": (["sparsify", "--matrix", HARD], {}, {}),
+    "solve-dioph-sparse": (["solve-dioph", "--matrix", "4 6 9 15", "--rhs", "1"], {}, {}),
+    "solve-dioph-unsplit-delta": (["solve-dioph", "--matrix", HARD, "--rhs", "1 1"], {}, {}),
+    "solve-semigroup-lifted": (
+        ["solve-semigroup", "--matrix", "3 -2 0; 0 -2 5", "--rhs", "7 1"], {}, {}),
+    "knapsack-mixed-unsplit": (["knapsack", "--mixed", "--a", BIG_MIXED, "--b", "1"], {}, {}),
+    "bounds-two-rows": (["bounds", "--matrix", "2 0 4; 0 2 2"], {}, {}),
+    "bounds-extreme-ray": (["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "3"], {}, {}),
+    "bounds-mixed-row": (["bounds", "--matrix", "3 -5"], {}, {}),
+    "bounds-unsplit-delta": (["bounds", "--matrix", HARD], {}, {}),
+    "worst-case-one-row": (["worst-case", "--m", "1", "--delta", "30"], {}, {}),
+    "oracle-two-rows": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "2 3"], {}, {}),
+    "icr-scan-three": (["icr-scan", "--a", "6 10 15", "--b-max", "60"], {}, {}),
+    "factor-one": (["factor", "1"], {}, {}),
+    "factor-big": (["factor", str(2**80 * 3**5)], {}, {}),
+    # Infeasible.
+    "solve-dioph-infeasible": (["solve-dioph", "--matrix", "4 6", "--rhs", "3", "--tau", "1"],
+                               {}, {}),
+    "solve-semigroup-infeasible": (
+        ["solve-semigroup", "--matrix", "2 0 -2; 0 2 -2", "--rhs", "1 1"], {}, {}),
+    "knapsack-positive-infeasible": (["knapsack", "--positive", "--a", "2 3", "--b", "1"], {}, {}),
+    "knapsack-mixed-infeasible": (["knapsack", "--mixed", "--a", "4 -6", "--b", "1"], {}, {}),
+    "oracle-infeasible": (["oracle", "--matrix", "2 4", "--rhs", "3"], {}, {}),
+    # Undetermined.
+    "knapsack-cap-flag": (
+        ["knapsack", "--positive", "--a", "2 3", "--b", "999999", "--b-cap", "10"], {}, {}),
+    "knapsack-cap-env": (["knapsack", "--positive", "--a", "2 3", "--b", "999999"],
+                         {"SPARSEDIOPH_B_CAP": "10"}, {}),
+    "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {}, {"ICR_SCAN_CAP": 40}),
+    "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"],
+                      {}, {}),
+    # Input errors.
+    "solve-dioph-parse-error": (["solve-dioph", "--matrix-file", "{tmp}/bad.txt", "--rhs", "1"],
+                                {}, {}),
+    "solve-dioph-missing-file": (
+        ["solve-dioph", "--matrix-file", "{tmp}/missing.txt", "--rhs", "1"], {}, {}),
+    "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}, {}),
+    "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}, {}),
+    "solve-semigroup-not-spanning": (["solve-semigroup", "--matrix", "1 2 3", "--rhs", "6"],
+                                     {}, {}),
+    "knapsack-bad-env": (["knapsack", "--positive", "--a", "2 3", "--b", "5"],
+                         {"SPARSEDIOPH_B_CAP": "ten"}, {}),
+    "knapsack-no-sign-mix": (["knapsack", "--mixed", "--a", "3 5", "--b", "2"], {}, {}),
+    "bounds-extreme-ray-out-of-range": (
+        ["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "4"], {}, {}),
+    "worst-case-invalid-delta": (["worst-case", "--m", "2", "--delta", "1"], {}, {}),
+    "icr-scan-nonpositive": (["icr-scan", "--a", "0 3", "--b-max", "5"], {}, {}),
+    "factor-zero": (["factor", "0"], {}, {}),
+    # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
+    "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
+    "usage-unknown-command": (["no-such-command"], {}, {}),
+    "usage-two-matrices": (["sparsify", "--matrix", "1", "--matrix-file", "A.txt"], {}, {}),
+    "usage-not-an-int": (["factor", "abc"], {}, {}),
+    "usage-no-command": ([], {}, {}),
+    "usage-version": (["--version"], {}, {}),
+}
+
+
+def _runs():
+    for name, (argv, env, consts) in CASES.items():
+        yield name, argv, env, consts
+        if not name.startswith("usage"):
+            yield f"{name} --json", argv + ["--json"], env, consts
+
+
+def transcript(argv, env, consts, tmp, monkeypatch):
+    """(exit code, stdout, stderr) of one run, with the tmp directory
+    written as {tmp}."""
+    monkeypatch.delenv(cli.B_CAP_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    for key, value in consts.items():
+        monkeypatch.setattr(oracle, key, value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([a.replace("{tmp}", str(tmp)) for a in argv])
+    return {
+        "code": code,
+        "stdout": out.getvalue().replace(str(tmp), "{tmp}"),
+        "stderr": err.getvalue().replace(str(tmp), "{tmp}"),
+    }
+
+
+def _write_files(tmp):
+    for name, text in FILES.items():
+        (tmp / name).write_text(text)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(name for name, *_ in _runs())
+
+
+@pytest.mark.parametrize("name, argv, env, consts", list(_runs()), ids=[r[0] for r in _runs()])
+def test_transcript(name, argv, env, consts, golden, tmp_path, monkeypatch):
+    _write_files(tmp_path)
+    assert transcript(argv, env, consts, tmp_path, monkeypatch) == golden[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmpdir:
+        tmp = Path(tmpdir)
+        _write_files(tmp)
+        doc = {}
+        for name, argv, env, consts in _runs():
+            with pytest.MonkeyPatch.context() as mp:
+                doc[name] = transcript(argv, env, consts, tmp, mp)
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
