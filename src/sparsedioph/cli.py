@@ -6,6 +6,12 @@ stable `key = value` lines, or as a single self-describing JSON document
 with `--json`; all integers in JSON are decimal strings, so nothing is
 ever truncated. Exit codes: 0 solved/feasible, 2 proven infeasible,
 3 undetermined (capped search), 1 usage or input errors.
+
+Every subcommand takes one path through `_run`: the handler fills one
+document (instance, status, result) and `_run` emits it once, in either
+format, and maps its status to the exit code. A `CapExceeded` from any
+solver ends the run as undetermined with its reason; worst-case and
+factor print a plain-text rendering unless `--json` is given.
 """
 
 from __future__ import annotations
@@ -110,7 +116,12 @@ def _tau_or_default(args, A: IntMatrix):
     return first_nonsingular_basis(A)
 
 
-def _solution_block(A: IntMatrix, b, report: SolutionReport) -> tuple[dict, dict]:
+def _report(doc: dict, A: IntMatrix, b, report: SolutionReport | None) -> None:
+    """Fill status, result and verified from a solver's report; None
+    means proven infeasible."""
+    if report is None:
+        doc["status"] = "infeasible"
+        return
     # Regardless of which solver produced x, recheck A x = b here before
     # anything is printed.
     lhs = A.mat_vec(report.x)
@@ -120,15 +131,16 @@ def _solution_block(A: IntMatrix, b, report: SolutionReport) -> tuple[dict, dict
     }
     if not all(verified.values()):
         raise AssertionError("solver returned an invalid solution")
-    result = {
+    doc["status"] = "solved"
+    doc["result"] = {
         "x": _vec(report.x),
         "support": _s(report.support_size),
         "bound": _s(report.bound),
         "bound_name": report.bound_name,
     }
     if not report.bound_exact:
-        result["bound_exact"] = False
-    return result, verified
+        doc["result"]["bound_exact"] = False
+    doc["verified"] = verified
 
 
 def _add_matrix_args(p: _Parser, rhs: bool = False):
@@ -142,24 +154,23 @@ def _add_matrix_args(p: _Parser, rhs: bool = False):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="sparsedioph", description=__doc__)
+    # --help shows every paragraph of the module docstring but the last,
+    # which is about the code.
+    parser = _Parser(prog="sparsedioph", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sparsify", help="sparsify the generating set of a lattice")
     _add_matrix_args(p)
     p.add_argument("--tau", metavar="INTS", help="1-based basis columns (default: first nonsingular)")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve-dioph", help="sparse integer solution of A x = b")
     _add_matrix_args(p, rhs=True)
     p.add_argument("--tau", metavar="INTS")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve-semigroup", help="sparse nonnegative solution, positively spanning columns")
     _add_matrix_args(p, rhs=True)
     p.add_argument("--tau", metavar="INTS")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("knapsack", help="sparse nonnegative knapsack solution")
     p.add_argument("--a", required=True, metavar="INTS", help="weights")
@@ -169,34 +180,31 @@ def build_parser() -> _Parser:
     mode.add_argument("--mixed", action="store_true", help="weights of both signs")
     p.add_argument("--b-cap", type=int, default=None, metavar="INT",
                    help=f"DP cap on b/gcd (default ${B_CAP_ENV} or {DEFAULT_B_CAP})")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bounds", help="evaluate all sparsity bounds for an instance")
     _add_matrix_args(p)
     p.add_argument("--tau", metavar="INTS")
     p.add_argument("--extreme-ray", type=int, default=None, metavar="INDEX",
                    help="1-based column to use for the pointed-cone bound")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("worst-case", help="instance with tight sparsification bound")
     p.add_argument("--m", required=True, type=int, metavar="INT")
     p.add_argument("--delta", required=True, type=int, metavar="INT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="exact minimum support by brute force")
     _add_matrix_args(p, rhs=True)
     p.add_argument("--k-max", type=int, default=None, metavar="INT")
     p.add_argument("--coord-cap", type=int, default=DEFAULT_COORD_CAP, metavar="INT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("icr-scan", help="lower bound on the integer Caratheodory rank")
     p.add_argument("--a", required=True, metavar="INTS")
     p.add_argument("--b-max", required=True, type=int, metavar="INT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("factor", help="prime factorization")
     p.add_argument("z", type=int)
-    p.add_argument("--json", action="store_true")
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -207,64 +215,41 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _cmd_sparsify(args, out) -> int:
+def _cmd_sparsify(args, doc):
     A = _load_matrix(args)
     tau = _tau_or_default(args, A)
+    doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
     cert = sparsify(A, tau)
-    doc = {
-        "command": "sparsify",
-        "instance": {"matrix": _mat(A), "tau": _vec(cert.tau)},
-        "status": "solved",
-        "result": {
-            "gamma": _vec(cert.gamma),
-            "size": _s(len(cert.gamma)),
-            "bound": _s(cert.bound),
-            "delta": _s(cert.delta),
-        },
-        "verified": {"lattice_fingerprint_match": cert.lattice_fingerprint_match},
+    doc["status"] = "solved"
+    doc["result"] = {
+        "gamma": _vec(cert.gamma),
+        "size": _s(len(cert.gamma)),
+        "bound": _s(cert.bound),
+        "delta": _s(cert.delta),
     }
     if not cert.bound_exact:
         doc["result"]["bound_exact"] = False
-    _emit(doc, args.json, out)
-    return EXIT_OK
+    doc["verified"] = {"lattice_fingerprint_match": cert.lattice_fingerprint_match}
 
 
-def _cmd_solve(args, out, semigroup: bool) -> int:
+def _cmd_solve(args, doc):
     A = _load_matrix(args)
     b = _load_rhs(args)
     tau = _tau_or_default(args, A)
-    if semigroup:
+    doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b), "tau": _vec(tau)}
+    if args.command == "solve-semigroup":
         report = solve_semigroup_posspan(A, b, tau)
-        name = "solve-semigroup"
     else:
         report = solve_sparse_lattice(A, b, tau)
-        name = "solve-dioph"
-    doc = {
-        "command": name,
-        "instance": {"matrix": _mat(A), "rhs": _vec(b), "tau": _vec(tau)},
-    }
-    if report is None:
-        doc["status"] = "infeasible"
-        _emit(doc, args.json, out)
-        return EXIT_INFEASIBLE
-    result, verified = _solution_block(A, b, report)
-    doc["status"] = "solved"
-    doc["result"] = result
-    doc["verified"] = verified
-    _emit(doc, args.json, out)
-    return EXIT_OK
+    _report(doc, A, b, report)
 
 
-def _cmd_knapsack(args, out) -> int:
+def _cmd_knapsack(args, doc):
     a = parse_inline_vector(args.a, source="--a")
-    A = IntMatrix.row_vector(a)
-    doc = {
-        "command": "knapsack",
-        "instance": {
-            "a": _vec(a),
-            "b": _s(args.b),
-            "mode": "positive" if args.positive else "mixed",
-        },
+    doc["instance"] = {
+        "a": _vec(a),
+        "b": _s(args.b),
+        "mode": "positive" if args.positive else "mixed",
     }
     if args.positive:
         cap = args.b_cap
@@ -276,129 +261,97 @@ def _cmd_knapsack(args, out) -> int:
                 raise ParseError(
                     f"expected an integer, got {raw!r}", 1, 1, f"${B_CAP_ENV}"
                 )
-        try:
-            report = solve_knapsack_positive(a, args.b, b_cap=cap)
-        except CapExceeded as exc:
-            doc["status"] = "undetermined"
-            doc["reason"] = str(exc)
-            _emit(doc, args.json, out)
-            return EXIT_UNDETERMINED
+        report = solve_knapsack_positive(a, args.b, b_cap=cap)
     else:
         report = solve_knapsack_mixed(a, args.b)
-    if report is None:
-        doc["status"] = "infeasible"
-        _emit(doc, args.json, out)
-        return EXIT_INFEASIBLE
-    result, verified = _solution_block(A, (args.b,), report)
-    doc["status"] = "solved"
-    doc["result"] = result
-    doc["verified"] = verified
-    _emit(doc, args.json, out)
-    return EXIT_OK
+    _report(doc, IntMatrix.row_vector(a), (args.b,), report)
 
 
-def _cmd_bounds(args, out) -> int:
+def _cmd_bounds(args, doc):
     A = _load_matrix(args)
     tau = _tau_or_default(args, A)
+    doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
     report = sparsity_bounds(A, tau, extreme_ray_index=args.extreme_ray)
 
     def opt(v):
         return _s(v) if v is not None else None
 
-    doc = {
-        "command": "bounds",
-        "instance": {"matrix": _mat(A), "tau": _vec(tau)},
-        "status": "solved",
-        "result": {
-            "adno_bound": _s(report.adno_bound),
-            "thm1_semigroup_bound": _s(report.thm1_semigroup_bound),
-            "pointed_cone_bound": opt(report.pointed_cone_bound),
-            "pointed_cone_note": "bound only, non-constructive",
-            "knapsack_bound": opt(report.knapsack_bound),
-            "gcd": _s(report.gcd_A),
-        },
+    doc["status"] = "solved"
+    doc["result"] = {
+        "adno_bound": _s(report.adno_bound),
+        "thm1_semigroup_bound": _s(report.thm1_semigroup_bound),
+        "pointed_cone_bound": opt(report.pointed_cone_bound),
+        "pointed_cone_note": "bound only, non-constructive",
+        "knapsack_bound": opt(report.knapsack_bound),
+        "gcd": _s(report.gcd_A),
     }
     if not report.thm1_bound_exact:
         doc["result"]["thm1_bound_exact"] = False
-    _emit(doc, args.json, out)
-    return EXIT_OK
 
 
-def _cmd_worst_case(args, out) -> int:
+def _cmd_worst_case(args, doc) -> str:
+    doc["instance"] = {"m": _s(args.m), "delta": _s(args.delta)}
     A = worst_case_instance(args.m, args.delta)
-    if args.json:
-        doc = {
-            "command": "worst-case",
-            "instance": {"m": _s(args.m), "delta": _s(args.delta)},
-            "status": "solved",
-            "result": {"matrix": _mat(A)},
-        }
-        _emit(doc, True, out)
-    else:
-        out.write(format_matrix(A))
-    return EXIT_OK
+    doc["status"] = "solved"
+    doc["result"] = {"matrix": _mat(A)}
+    return format_matrix(A)
 
 
-def _cmd_oracle(args, out) -> int:
+def _cmd_oracle(args, doc):
     A = _load_matrix(args)
     b = _load_rhs(args)
     k_max = args.k_max if args.k_max is not None else A.cols
-    found = min_support_exact(A, b, k_max=k_max, coord_cap=args.coord_cap)
     complete = A.rows == 1 and k_max >= A.cols
-    doc = {
-        "command": "oracle",
-        "instance": {"matrix": _mat(A), "rhs": _vec(b)},
-        "regime": {
-            "k_max": _s(k_max),
-            "coord_cap": _s(args.coord_cap),
-            "complete": complete,
-        },
+    doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b)}
+    doc["regime"] = {
+        "k_max": _s(k_max),
+        "coord_cap": _s(args.coord_cap),
+        "complete": complete,
     }
+    found = min_support_exact(A, b, k_max=k_max, coord_cap=args.coord_cap)
     if found is None:
         doc["status"] = "infeasible" if complete else "undetermined"
-        _emit(doc, args.json, out)
-        return EXIT_INFEASIBLE if complete else EXIT_UNDETERMINED
-    doc["status"] = "solved"
-    doc["result"] = {"min_support": _s(found)}
-    _emit(doc, args.json, out)
-    return EXIT_OK
+    else:
+        doc["status"] = "solved"
+        doc["result"] = {"min_support": _s(found)}
 
 
-def _cmd_icr_scan(args, out) -> int:
+def _cmd_icr_scan(args, doc):
     a = parse_inline_vector(args.a, source="--a")
-    doc = {"command": "icr-scan", "instance": {"a": _vec(a), "b_max": _s(args.b_max)}}
-    try:
-        value = icr_scan(a, args.b_max)
-    except CapExceeded as exc:
-        doc["status"] = "undetermined"
-        doc["reason"] = str(exc)
-        _emit(doc, args.json, out)
-        return EXIT_UNDETERMINED
+    doc["instance"] = {"a": _vec(a), "b_max": _s(args.b_max)}
+    value = icr_scan(a, args.b_max)
     doc["status"] = "solved"
     doc["result"] = {"icr_lower_bound": _s(value)}
-    _emit(doc, args.json, out)
-    return EXIT_OK
 
 
-def _cmd_factor(args, out) -> int:
+def _cmd_factor(args, doc) -> str:
+    doc["instance"] = {"z": _s(args.z)}
     fact = factorize(args.z)
-    if args.json:
-        doc = {
-            "command": "factor",
-            "instance": {"z": _s(args.z)},
-            "status": "solved",
-            "result": {"factors": [[_s(p), _s(s)] for p, s in fact.factors]},
-        }
-        _emit(doc, True, out)
-    else:
-        if not fact.factors:
-            out.write("1\n")
-        else:
-            out.write(
-                " * ".join(f"{p}^{s}" if s > 1 else str(p) for p, s in fact.factors)
-                + "\n"
-            )
-    return EXIT_OK
+    doc["status"] = "solved"
+    doc["result"] = {"factors": [[_s(p), _s(s)] for p, s in fact.factors]}
+    text = " * ".join(f"{p}^{s}" if s > 1 else str(p) for p, s in fact.factors)
+    return (text or "1") + "\n"
+
+
+# Each handler fills doc with instance, status and, when there is one,
+# result; worst-case and factor also return their plain-text rendering.
+_COMMANDS = {
+    "sparsify": _cmd_sparsify,
+    "solve-dioph": _cmd_solve,
+    "solve-semigroup": _cmd_solve,
+    "knapsack": _cmd_knapsack,
+    "bounds": _cmd_bounds,
+    "worst-case": _cmd_worst_case,
+    "oracle": _cmd_oracle,
+    "icr-scan": _cmd_icr_scan,
+    "factor": _cmd_factor,
+}
+
+_EXIT_CODES = {
+    "solved": EXIT_OK,
+    "infeasible": EXIT_INFEASIBLE,
+    "undetermined": EXIT_UNDETERMINED,
+}
 
 
 def run(argv, out=None, err=None) -> int:
@@ -422,35 +375,25 @@ def _run(argv, out, err) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    doc = {"command": args.command}
     try:
-        if args.command == "sparsify":
-            return _cmd_sparsify(args, out)
-        if args.command == "solve-dioph":
-            return _cmd_solve(args, out, semigroup=False)
-        if args.command == "solve-semigroup":
-            return _cmd_solve(args, out, semigroup=True)
-        if args.command == "knapsack":
-            return _cmd_knapsack(args, out)
-        if args.command == "bounds":
-            return _cmd_bounds(args, out)
-        if args.command == "worst-case":
-            return _cmd_worst_case(args, out)
-        if args.command == "oracle":
-            return _cmd_oracle(args, out)
-        if args.command == "icr-scan":
-            return _cmd_icr_scan(args, out)
-        if args.command == "factor":
-            return _cmd_factor(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ParseError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+        try:
+            text = _COMMANDS[args.command](args, doc)
+        except CapExceeded as exc:
+            text = None
+            doc["status"] = "undetermined"
+            doc["reason"] = str(exc)
+        if text is None or args.json:
+            _emit(doc, args.json, out)
+        else:
+            out.write(text)
+    except (ParseError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Error as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
+    return _EXIT_CODES[doc["status"]]
 
 
 def main() -> None:

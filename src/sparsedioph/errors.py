@@ -58,7 +58,7 @@ class InfeasibleInput(Error):
 
 
 class CapExceeded(Error):
-    """Right-hand side exceeds the configured pseudo-polynomial search cap."""
+    """A search would exceed one of its caps on size or work."""
 
 
 class ParseError(Error):

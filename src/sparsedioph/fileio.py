@@ -93,7 +93,3 @@ def format_matrix(A: IntMatrix) -> str:
     lines = [f"{A.rows} {A.cols}"]
     lines.extend(" ".join(str(v) for v in A.row(i)) for i in range(A.rows))
     return "\n".join(lines) + "\n"
-
-
-def format_vector(v) -> str:
-    return " ".join(str(x) for x in v) + "\n"

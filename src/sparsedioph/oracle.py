@@ -24,6 +24,11 @@ from .intlinalg import IntMatrix, as_vector
 DEFAULT_COORD_CAP = 50
 # icr_scan keeps bitsets of b_max/gcd + 1 bits, several per subset.
 ICR_SCAN_CAP = 10**7
+# Work caps, so that a search too large to finish ends with CapExceeded
+# after a few seconds: bits over all subset closures of icr_scan, and
+# points enumerated by the multi-row min_support_exact.
+ICR_SCAN_WORK_CAP = 10**9
+MIN_SUPPORT_POINT_CAP = 10**6
 
 
 def _closure_bitset(coins: Sequence[int], limit: int) -> int:
@@ -73,13 +78,18 @@ def _min_support_single_row(row: Sequence[int], b: int, k_max: int) -> Optional[
 
 
 def _search_support(
-    columns: Sequence[Sequence[int]], b: Sequence[int], coord_cap: int
+    columns: Sequence[Sequence[int]], b: Sequence[int], coord_cap: int, points: list[int]
 ) -> bool:
     """Whether columns * x = b has an integer solution with 1 <= x_i <= cap,
-    by depth-first enumeration with the last coordinate solved directly."""
+    by depth-first enumeration with the last coordinate solved directly.
+    points[0] counts the points enumerated, across calls; CapExceeded is
+    raised once it passes MIN_SUPPORT_POINT_CAP."""
     last = len(columns) - 1
 
     def solve_last(residual: list[int]) -> bool:
+        points[0] += 1
+        if points[0] > MIN_SUPPORT_POINT_CAP:
+            raise CapExceeded(f"enumerated points exceed cap {MIN_SUPPORT_POINT_CAP}")
         col = columns[last]
         anchor = next((i for i, v in enumerate(col) if v != 0), None)
         if anchor is None:
@@ -113,7 +123,8 @@ def min_support_exact(
 
     Complete for single-row instances. For m >= 2 the search enumerates
     supports of size up to k_max with coordinates capped at coord_cap, so
-    None means "not found within the regime" rather than infeasible.
+    None means "not found within the regime" rather than infeasible; it
+    raises CapExceeded after MIN_SUPPORT_POINT_CAP enumerated points.
     """
     b = as_vector(b)
     if len(b) != A.rows:
@@ -124,9 +135,10 @@ def min_support_exact(
         k_max = A.cols
     if A.rows == 1:
         return _min_support_single_row(A.row(0), b[0], k_max)
+    points = [0]
     for k in range(1, min(A.cols, k_max) + 1):
         for subset in itertools.combinations(range(A.cols), k):
-            if _search_support([A.column(j) for j in subset], b, coord_cap):
+            if _search_support([A.column(j) for j in subset], b, coord_cap, points):
                 return k
     return None
 
@@ -137,7 +149,9 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
     This is a lower bound for the integer Caratheodory rank of the row a:
     the scan cannot rule out worse right-hand sides beyond b_max. Exact
     per-value answers come from subset-wise bitset dynamic programming.
-    Raises CapExceeded when b_max/gcd(a) exceeds ICR_SCAN_CAP.
+    Raises CapExceeded when b_max/gcd(a) exceeds ICR_SCAN_CAP, and once
+    the subset closures computed reach more than ICR_SCAN_WORK_CAP bits
+    in total.
     """
     a = as_vector(a)
     if any(v <= 0 for v in a):
@@ -151,10 +165,16 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
         raise CapExceeded(f"b_max/gcd = {limit} exceeds cap {ICR_SCAN_CAP}")
     unassigned = (1 << (limit + 1)) - 2  # value 0 has support 0 already
     worst = 0
+    work = 0
     for k in range(1, len(weights) + 1):
         if not unassigned:
             break
         for subset in itertools.combinations(weights, k):
+            work += limit + 1
+            if work > ICR_SCAN_WORK_CAP:
+                raise CapExceeded(
+                    f"subset closures x (b_max/gcd + 1) bits exceed cap {ICR_SCAN_WORK_CAP}"
+                )
             hits = _closure_bitset(subset, limit) & unassigned
             if hits:
                 worst = k

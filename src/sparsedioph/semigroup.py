@@ -201,22 +201,17 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     if b % g != 0:
         return None
     A = IntMatrix.row_vector(a)
-    # omega_truncated(z, 1) counts distinct primes, so these are certified
-    # upper bounds on omega(|a_i|/g), exact unless a cofactor stays unsplit.
-    omegas = [omega_truncated_upper(abs(v) // g, 1) for v in a]
-    best = None
-    best_key = None
-    for i in range(1, len(a) + 1):
-        report = _lift_posspan(A, (b,), (i,))
-        key = (report.support_size, omegas[i - 1][0], i)
-        if best_key is None or key < best_key:
-            best, best_key = report, key
+    # The lift on basis {i} reports bound 2 + omega_truncated_upper(|a_i|/g, 1),
+    # a certified upper bound on 2 + omega(|a_i|/g), with its exactness.
+    reports = [_lift_posspan(A, (b,), (i,)) for i in range(1, len(a) + 1)]
+    # min keeps the first of equal keys, so ties go to the smallest index.
+    best = min(reports, key=lambda r: (r.support_size, r.bound))
     return SolutionReport(
         x=best.x,
         support_size=best.support_size,
-        bound=2 + min(value for value, _ in omegas),
+        bound=min(r.bound for r in reports),
         bound_name=BOUND_MIXED_KNAPSACK,
-        bound_exact=all(exact for _, exact in omegas),
+        bound_exact=all(r.bound_exact for r in reports),
     )
 
 

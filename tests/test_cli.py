@@ -183,6 +183,28 @@ def test_icr_scan_cap_exit_code(monkeypatch):
     assert doc["reason"] == "b_max/gcd = 41 exceeds cap 40"
 
 
+def test_work_caps_end_with_exit_3(monkeypatch):
+    monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", 122)
+    code, out, err = invoke(["icr-scan", "--a", "2 3", "--b-max", "40"])
+    assert (code, err) == (3, "")
+    assert out == (
+        "command = icr-scan\ninstance.a = 2 3\ninstance.b_max = 40\nstatus = undetermined\n"
+        "reason = subset closures x (b_max/gcd + 1) bits exceed cap 122\n"
+    )
+    monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 3)
+    argv = ["oracle", "--matrix", "1 0 2; 0 1 3", "--rhs", "1 1"]
+    code, out, err = invoke(argv)
+    assert (code, err) == (3, "")
+    assert "status = undetermined\nreason = enumerated points exceed cap 3\n" in out
+    code, out, err = invoke(argv + ["--json"])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert list(doc) == ["command", "instance", "regime", "status", "reason"]
+    assert doc["instance"]["rhs"] == ["1", "1"]
+    assert doc["regime"] == {"k_max": "3", "coord_cap": "50", "complete": False}
+    assert doc["reason"] == "enumerated points exceed cap 3"
+
+
 def test_bounds():
     code, out, _ = invoke(["bounds", "--matrix", "3 5 7"])
     assert code == 0

@@ -1,7 +1,51 @@
+import itertools
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from sparsedioph import IntMatrix, lattice_member, solve_sparse_lattice
-from oracles import random_full_row_rank, random_nonsingular_tau
+from oracles import (
+    perm_det,
+    random_full_row_rank,
+    random_nonsingular_tau,
+    sparsify_membership_greedy,
+)
+
+
+@st.composite
+def instances(draw):
+    """Desk-scale A with a nonsingular 1-based basis tau, and b drawn
+    either inside the lattice of A or anywhere."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    bases = [c for c in itertools.combinations(range(n), m)
+             if perm_det([[row[j] for j in c] for row in rows])]
+    assume(bases)
+    tau = tuple(j + 1 for j in draw(st.sampled_from(bases)))
+    A = IntMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        b = A.mat_vec(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    else:
+        b = tuple(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m)))
+    return A, tau, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_matches_the_reference_membership_and_sparsify(instance):
+    A, tau, b = instance
+    report = solve_sparse_lattice(A, b, tau)
+    assert (report is None) == (lattice_member(A, b) is None)
+    if report is None:
+        return
+    assert all(isinstance(v, int) for v in report.x)
+    assert A.mat_vec(report.x) == b
+    gamma = sparsify_membership_greedy(A, tau).gamma
+    assert {j + 1 for j, v in enumerate(report.x) if v} <= set(gamma)
+    assert report.support_size <= report.bound
 
 
 def test_single_equation_full_support():

@@ -54,6 +54,18 @@ class TestMinSupportExact:
                 A = IntMatrix.row_vector(a)
                 assert min_support_exact(A, (b,)) == knapsack_min_support_dfs(a, b)
 
+    def test_point_cap(self, monkeypatch):
+        # (1, 1) takes the three single columns, then x = (1, 1, 0): 4 points.
+        A = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 4)
+        assert min_support_exact(A, (1, 1)) == 2
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 3)
+        with pytest.raises(CapExceeded, match="enumerated points exceed cap 3"):
+            min_support_exact(A, (1, 1))
+        # Single-row instances are a complete search and take no points.
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
+        assert min_support_exact(IntMatrix.from_rows([[2, 3]]), (5,)) == 2
+
     def test_never_exceeds_solver_support(self):
         rng = random.Random(19)
         for _ in range(60):
@@ -87,6 +99,17 @@ class TestIcrScan:
         assert icr_scan((4, 6), 81) == 2
         with pytest.raises(CapExceeded, match="b_max/gcd = 41 exceeds cap 40"):
             icr_scan((2, 3), 41)
+
+    def test_work_cap(self, monkeypatch):
+        # Value 1 is never representable, so all three closures of 41 bits run.
+        monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", 3 * 41)
+        assert icr_scan((2, 3), 40) == 2
+        # (1) covers every value, so the scan stops after the two singletons.
+        monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", 2 * 11)
+        assert icr_scan((1, 2), 10) == 1
+        monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", 3 * 41 - 1)
+        with pytest.raises(CapExceeded, match=r"bits exceed cap 122"):
+            icr_scan((2, 3), 40)
 
     def test_validation(self):
         with pytest.raises(NonPositive):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 
@@ -24,6 +25,7 @@ from sparsedioph import (
     kernel_vector_pigeonhole,
     min_support_exact,
     omega,
+    omega_truncated,
     positively_spans,
     reduce_knapsack_support,
     solve_knapsack_mixed,
@@ -33,7 +35,12 @@ from sparsedioph import (
     sparsity_bounds,
 )
 from sparsedioph.oracle import _reachable
-from oracles import knapsack_min_support_dfs, pointed_cone_bound_enumerated
+from oracles import (
+    knapsack_min_support_dfs,
+    minors_gcd,
+    perm_det,
+    pointed_cone_bound_enumerated,
+)
 
 semigroup = importlib.import_module("sparsedioph.semigroup")
 
@@ -416,6 +423,22 @@ class TestSolveKnapsackMixed:
             solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60))
             assert lp_calls[0] <= n
 
+    def test_one_omega_bound_per_singleton_basis(self, monkeypatch):
+        # The bound and the tie-break come from the n lifts' own reports.
+        calls = []
+        for module in (semigroup, importlib.import_module("sparsedioph.sparsify")):
+            true_bound = module.omega_truncated_upper
+
+            def counting(z, m, true_bound=true_bound):
+                calls.append(z)
+                return true_bound(z, m)
+
+            monkeypatch.setattr(module, "omega_truncated_upper", counting)
+        a = (12, -45, 35, 8)
+        report = solve_knapsack_mixed(a, 7)
+        assert sorted(calls) == [8, 12, 35, 45]
+        assert report.bound == 2 + min(omega(v) for v in (12, 45, 35, 8)) == 3
+
 
 class TestSparsityBounds:
     def test_positive_row(self):
@@ -485,6 +508,35 @@ class TestSparsityBounds:
         with pytest.raises(DimensionMismatch, match="^basis needs 2 indices, got 1$"):
             sparsify(A, (1,))
         assert sparsity_bounds(A, tau=(1, 3)).thm1_semigroup_bound == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bounds_match_the_enumeration(self, data):
+        # Adno: m + floor(log2 sqrt(sum of squared maximal minors / g^2));
+        # the pointed-cone bound through each extreme ray; Theorem 1 from
+        # the permutation-expansion determinant of the basis.
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m, 5))
+        entries = st.integers(0, 9) if data.draw(st.booleans()) else st.integers(-9, 9)
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        minors = [perm_det([[row[j] for j in c] for row in rows])
+                  for c in itertools.combinations(range(n), m)]
+        assume(any(minors))
+        A = IntMatrix.from_rows(rows)
+        g = minors_gcd(A)
+        report = sparsity_bounds(A)
+        assert report.gcd_A == g
+        q_squared = sum(d * d for d in minors) // (g * g)
+        assert report.adno_bound == m + math.isqrt(q_squared).bit_length() - 1
+        tau = first_nonsingular_basis(A)
+        delta = abs(perm_det([[row[j - 1] for j in tau] for row in rows])) // g
+        assert report.thm1_bound_exact
+        assert report.thm1_semigroup_bound == 2 * m + omega_truncated(delta, m)
+        for j in range(1, n + 1):
+            bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
+            if bound is not None:
+                assert bound == pointed_cone_bound_enumerated(A, j, g)
 
     def test_pointed_cone_bound_matches_enumeration(self):
         # Rows of nonnegative entries, each negated at random: the cone
