@@ -264,12 +264,6 @@ def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     return [tuple(c) for c in cols[:rank]]
 
 
-def hnf_fingerprint(A: IntMatrix) -> tuple[IntVector, ...]:
-    """Canonical fingerprint of the lattice spanned by A's columns: the
-    nonzero columns of the column HNF."""
-    return tuple(hnf_basis(A.to_columns(), A.rows))
-
-
 def snf(M: IntMatrix) -> SnfResult:
     """Smith normal form of a nonsingular square integer matrix.
 
@@ -410,7 +404,7 @@ def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
 
 def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
     """True iff A's and B's columns span the same lattice (same canonical
-    HNF fingerprint)."""
+    HNF basis)."""
     if A.rows != B.rows:
         raise DimensionMismatch("row counts differ")
-    return hnf_fingerprint(A) == hnf_fingerprint(B)
+    return hnf_basis(A.to_columns(), A.rows) == hnf_basis(B.to_columns(), B.rows)

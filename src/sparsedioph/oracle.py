@@ -2,14 +2,16 @@
 
 `min_support_exact` finds the true minimum number of nonzeros over all
 nonnegative integer solutions of A x = b. For one row this is a complete
-search (bitset dynamic programming per support subset); for two or more
-rows it is a bounded enumeration, honest about its caps: a None answer
-only means "nothing found within the search regime", never a proof of
-infeasibility.
+search over support subsets; for two or more rows it is a bounded
+enumeration, honest about its caps: a None answer only means "nothing
+found within the search regime", never a proof of infeasibility.
 
 `icr_scan` takes the worst case of the minimum support over all
 right-hand sides up to a limit, which lower-bounds the integer
 Caratheodory rank of a positive row.
+
+Both decide membership in a semigroup with `semigroup._closure_bitset`,
+which `solve_knapsack_positive` also walks back through.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, NonPositive
+from .errors import CapExceeded, DimensionMismatch, NonPositive
 from .intlinalg import IntMatrix, as_vector
+from .semigroup import _closure_bitset
 
 DEFAULT_COORD_CAP = 50
 # icr_scan keeps bitsets of b_max/gcd + 1 bits, several per subset.
@@ -29,23 +32,6 @@ ICR_SCAN_CAP = 10**7
 # points enumerated by the multi-row min_support_exact.
 ICR_SCAN_WORK_CAP = 10**9
 MIN_SUPPORT_POINT_CAP = 10**6
-
-
-def _closure_bitset(coins: Sequence[int], limit: int) -> int:
-    """Bitset of all sums of nonnegative multiples of `coins` up to `limit`."""
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for c in coins:
-        if c > limit:
-            continue
-        shift = c
-        while True:
-            grown = (bits | (bits << shift)) & mask
-            if grown == bits:
-                break
-            bits = grown
-            shift *= 2
-    return bits
 
 
 def _reachable(value: int, coins: Sequence[int]) -> bool:
@@ -128,7 +114,7 @@ def min_support_exact(
     """
     b = as_vector(b)
     if len(b) != A.rows:
-        raise ValueError("right-hand side length differs from row count")
+        raise DimensionMismatch("right-hand side length differs from row count")
     if not any(b):
         return 0
     if k_max is None:
@@ -148,12 +134,14 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
 
     This is a lower bound for the integer Caratheodory rank of the row a:
     the scan cannot rule out worse right-hand sides beyond b_max. Exact
-    per-value answers come from subset-wise bitset dynamic programming.
+    per-value answers come from the bitset closure of each weight subset.
     Raises CapExceeded when b_max/gcd(a) exceeds ICR_SCAN_CAP, and once
     the subset closures computed reach more than ICR_SCAN_WORK_CAP bits
     in total.
     """
     a = as_vector(a)
+    if not a:
+        raise DimensionMismatch("at least one entry is required")
     if any(v <= 0 for v in a):
         raise NonPositive("entries must be positive")
     if b_max < 0:

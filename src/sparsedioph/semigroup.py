@@ -9,8 +9,9 @@ Three solving regimes live here, in decreasing generality:
   at most m more columns, taken from a single phase-I LP.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
   it lifts from every singleton basis and keeps the sparsest result.
-* `solve_knapsack_positive` is the all-positive single-row case: dynamic
-  programming finds some solution, and a pigeonhole-built kernel vector
+* `solve_knapsack_positive` is the all-positive single-row case: the
+  bitset closure of the weights decides reachability, a walk back from b
+  through it rebuilds one solution, and a pigeonhole-built kernel vector
   with entries in {-1, 0, 1} repeatedly shrinks its support.
 
 `sparsity_bounds` evaluates every support bound that applies to a given
@@ -76,13 +77,6 @@ class BoundsReport:
     thm1_bound_exact: bool = True
 
 
-@dataclass(frozen=True)
-class KernelVector:
-    """Nonzero y with y[0] >= 0, y[i] in {-1,0,1} for i >= 1, and a.y = 0."""
-
-    y: IntVector
-
-
 def _floor_log2(v: int) -> int:
     # floor(log2(v)) for v >= 1.
     return v.bit_length() - 1
@@ -92,6 +86,23 @@ def _floor_log2_sqrt(v: int) -> int:
     # floor(log2(sqrt(v))) for v >= 1; exact because the floor only
     # depends on floor(log2(v)).
     return (v.bit_length() - 1) // 2
+
+
+def _closure_bitset(coins: Sequence[int], limit: int) -> int:
+    """Bitset of all sums of nonnegative multiples of `coins` up to `limit`."""
+    mask = (1 << (limit + 1)) - 1
+    bits = 1
+    for c in coins:
+        if c > limit:
+            continue
+        shift = c
+        while True:
+            grown = (bits | (bits << shift)) & mask
+            if grown == bits:
+                break
+            bits = grown
+            shift *= 2
+    return bits
 
 
 def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
@@ -215,7 +226,7 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     )
 
 
-def kernel_vector_pigeonhole(a: Sequence[int]) -> KernelVector:
+def kernel_vector_pigeonhole(a: Sequence[int]) -> IntVector:
     """Nonzero integer y with a.y = 0, y[0] >= 0 and all later entries in
     {-1, 0, 1}, for positive a with len(a) > 1 + log2(a[0]).
 
@@ -244,7 +255,7 @@ def kernel_vector_pigeonhole(a: Sequence[int]) -> KernelVector:
             y = [head] + tail
             if head < 0:
                 y = [-v for v in y]
-            return KernelVector(y=tuple(y))
+            return tuple(y)
         seen[residue] = eps
     raise AssertionError("pigeonhole collision must occur within a[0]+1 codes")
 
@@ -259,6 +270,8 @@ def reduce_knapsack_support(a: Sequence[int], x0: Sequence[int]) -> SolutionRepo
     is invariant and nonnegativity is preserved at every step.
     """
     a = as_vector(a)
+    if not a:
+        raise DimensionMismatch("knapsack needs at least one weight")
     if any(v <= 0 for v in a):
         raise NonPositive("knapsack weights must be positive")
     x = [int(v) for v in x0]
@@ -277,7 +290,7 @@ def reduce_knapsack_support(a: Sequence[int], x0: Sequence[int]) -> SolutionRepo
         if 2 ** len(others) <= target:
             break
         sub = (weights[i_min],) + tuple(weights[j] for j in others)
-        kernel = kernel_vector_pigeonhole(sub).y
+        kernel = kernel_vector_pigeonhole(sub)
         step = min(x[others[k]] for k in range(len(others)) if kernel[k + 1] == -1)
         x[i_min] += step * kernel[0]
         for k, j in enumerate(others):
@@ -297,11 +310,15 @@ def solve_knapsack_positive(
     """Sparse nonnegative solution of a.x = b for positive a, or None when
     b is not in the semigroup generated by a.
 
-    Feasibility is decided by forward dynamic programming over values up
-    to b/gcd(a), which must stay within `b_cap`; the DP solution is then
-    support-reduced. Raises CapExceeded above the cap.
+    The bitset closure of the weights over values up to b/gcd(a), which
+    must stay within `b_cap`, decides feasibility. A walk down from
+    b/gcd(a) takes at each step the first weight, in input order, that
+    leaves a reachable value; that solution is then support-reduced.
+    Raises CapExceeded above the cap.
     """
     a = as_vector(a)
+    if not a:
+        raise DimensionMismatch("knapsack needs at least one weight")
     if any(v <= 0 for v in a):
         raise NonPositive("knapsack weights must be positive")
     if b < 0:
@@ -313,22 +330,22 @@ def solve_knapsack_positive(
     if value > b_cap:
         raise CapExceeded(f"b/gcd = {value} exceeds cap {b_cap}")
     weights = [v // g for v in a]
-    # parent[v] = 1 + index of the weight that first reaches v; 0 = unreached.
-    parent = bytearray(value + 1) if len(weights) < 255 else [0] * (value + 1)
-    parent[0] = 255  # sentinel; value 0 is always reachable
-    for v in range(1, value + 1):
-        for idx, w in enumerate(weights):
-            if w <= v and parent[v - w]:
-                parent[v] = idx + 1
-                break
-    if not parent[value]:
+    # Bit v of the closure is bit v % 8 of byte v // 8; a byte lookup
+    # costs O(1) where a shift of the closure costs O(b/g).
+    reach = _closure_bitset(weights, value).to_bytes(value // 8 + 1, "little")
+    if not reach[value >> 3] >> (value & 7) & 1:
         return None
     x0 = [0] * len(weights)
     v = value
     while v:
-        idx = parent[v] - 1
+        # v is reachable and positive, so some weight steps back to a
+        # reachable value.
+        for idx, w in enumerate(weights):
+            rest = v - w
+            if rest >= 0 and reach[rest >> 3] >> (rest & 7) & 1:
+                break
         x0[idx] += 1
-        v -= weights[idx]
+        v = rest
     return reduce_knapsack_support(a, x0)
 
 

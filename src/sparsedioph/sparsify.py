@@ -59,16 +59,15 @@ class SparsifyCertificate:
     """Verifiable result of a sparsification run.
 
     `delta` is |det(A_tau)| / gcd(A); `bound` is an upper bound on
-    m + omega_truncated(delta, m), equal to it iff `bound_exact`, and
-    `lattice_fingerprint_match` records that the kept columns reproduce
-    the canonical Hermite fingerprint of the full matrix.
+    m + omega_truncated(delta, m), equal to it iff `bound_exact`. The
+    columns of `gamma` span the same lattice as all of A: `sparsify`
+    raises otherwise.
     """
 
     tau: IndexSet
     gamma: IndexSet
     bound: int
     delta: int
-    lattice_fingerprint_match: bool
     bound_exact: bool = True
 
 
@@ -146,16 +145,10 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     bound = m + omega_m
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
-    match = hnf_basis([columns[j - 1] for j in gamma], m) == full
-    if not match:
+    if hnf_basis([columns[j - 1] for j in gamma], m) != full:
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(
-        tau=tau,
-        gamma=gamma,
-        bound=bound,
-        delta=delta,
-        lattice_fingerprint_match=match,
-        bound_exact=exact,
+        tau=tau, gamma=gamma, bound=bound, delta=delta, bound_exact=exact
     )
 
 

@@ -12,7 +12,10 @@ superseded sparsify (one membership solve per column) and basis choice
 transform-free `hnf_basis` that the package now uses. The phase-I simplex
 that did every step in `fractions.Fraction` is kept as the reference for
 the fraction-free one in `exactlp`: same pivot rule, so the two must
-return the same point.
+return the same point. The positive knapsack's forward dynamic program,
+which stored a parent weight per value, is kept as the reference for the
+walk back through the bitset closure that replaced it: both pick the
+same weight at every value, so the two must return the same report.
 """
 
 import itertools
@@ -21,16 +24,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from sparsedioph import (
+    CapExceeded,
     DimensionMismatch,
     IntMatrix,
     RankDeficient,
     SingularBasis,
     SparsifyCertificate,
+    as_vector,
     det_exact,
     hnf_columns,
     lattice_equal,
     lattice_member,
     omega_truncated,
+    reduce_knapsack_support,
 )
 from sparsedioph.errors import NonPositive
 from sparsedioph.numtheory import (
@@ -40,6 +46,7 @@ from sparsedioph.numtheory import (
     _pollard_rho,
     is_probable_prime,
 )
+from sparsedioph.semigroup import DEFAULT_B_CAP
 from sparsedioph.sparsify import check_index_set
 
 
@@ -181,6 +188,42 @@ def knapsack_min_support_dfs(weights, b: int):
     return None
 
 
+def solve_knapsack_positive_dp(a, b: int, b_cap: int = DEFAULT_B_CAP):
+    """The superseded `solve_knapsack_positive`: a forward dynamic program
+    over values up to b/gcd(a) stores, for each value, the first weight in
+    input order that reaches it from a reached value; walking those
+    parents down from b/gcd(a) gives x0, which is then support-reduced."""
+    a = as_vector(a)
+    if any(v <= 0 for v in a):
+        raise NonPositive("knapsack weights must be positive")
+    if b < 0:
+        return None
+    g = math.gcd(*a)
+    if b % g != 0:
+        return None
+    value = b // g
+    if value > b_cap:
+        raise CapExceeded(f"b/gcd = {value} exceeds cap {b_cap}")
+    weights = [v // g for v in a]
+    # parent[v] = 1 + index of the weight that first reaches v; 0 = unreached.
+    parent = bytearray(value + 1) if len(weights) < 255 else [0] * (value + 1)
+    parent[0] = 255  # sentinel; value 0 is always reachable
+    for v in range(1, value + 1):
+        for idx, w in enumerate(weights):
+            if w <= v and parent[v - w]:
+                parent[v] = idx + 1
+                break
+    if not parent[value]:
+        return None
+    x0 = [0] * len(weights)
+    v = value
+    while v:
+        idx = parent[v] - 1
+        x0[idx] += 1
+        v -= weights[idx]
+    return reduce_knapsack_support(a, x0)
+
+
 def first_nonsingular_basis_lex(A: IntMatrix):
     """Lexicographically first m-subset of columns with nonzero determinant,
     by scanning all C(n, m) subsets in order (1-based)."""
@@ -244,12 +287,9 @@ def sparsify_membership_greedy(A: IntMatrix, tau):
     bound = m + omega_truncated(delta, m)
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
-    match = lattice_equal(A, A.take_columns([i - 1 for i in gamma]))
-    if not match:
+    if not lattice_equal(A, A.take_columns([i - 1 for i in gamma])):
         raise AssertionError("kept columns changed the lattice")
-    return SparsifyCertificate(
-        tau=tau, gamma=gamma, bound=bound, delta=delta, lattice_fingerprint_match=match
-    )
+    return SparsifyCertificate(tau=tau, gamma=gamma, bound=bound, delta=delta)
 
 
 def pointed_cone_bound_enumerated(A: IntMatrix, designated: int, g: int):

@@ -94,6 +94,9 @@ CASES = {
         ["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "4"], {}, {}),
     "worst-case-invalid-delta": (["worst-case", "--m", "2", "--delta", "1"], {}, {}),
     "icr-scan-nonpositive": (["icr-scan", "--a", "0 3", "--b-max", "5"], {}, {}),
+    "icr-scan-no-weights": (["icr-scan", "--a", "", "--b-max", "5"], {}, {}),
+    "knapsack-positive-no-weights": (["knapsack", "--positive", "--a", "", "--b", "3"], {}, {}),
+    "oracle-rhs-length": (["oracle", "--matrix", "1 2", "--rhs", "1 2"], {}, {}),
     "factor-zero": (["factor", "0"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),

@@ -5,6 +5,7 @@ import pytest
 
 from sparsedioph import (
     CapExceeded,
+    DimensionMismatch,
     IntMatrix,
     NonPositive,
     icr_scan,
@@ -53,6 +54,10 @@ class TestMinSupportExact:
             for b in range(0, 61, 7):
                 A = IntMatrix.row_vector(a)
                 assert min_support_exact(A, (b,)) == knapsack_min_support_dfs(a, b)
+
+    def test_rhs_length_must_match_the_rows(self):
+        with pytest.raises(DimensionMismatch, match="right-hand side length differs"):
+            min_support_exact(IntMatrix.from_rows([[1, 2]]), (1, 2))
 
     def test_point_cap(self, monkeypatch):
         # (1, 1) takes the three single columns, then x = (1, 1, 0): 4 points.
@@ -116,6 +121,8 @@ class TestIcrScan:
             icr_scan((2, -3), 10)
         with pytest.raises(NonPositive):
             icr_scan((2, 3), -1)
+        with pytest.raises(DimensionMismatch):
+            icr_scan((), 5)
 
     def test_monotone_in_b_max(self):
         rng = random.Random(23)

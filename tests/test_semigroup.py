@@ -40,6 +40,7 @@ from oracles import (
     minors_gcd,
     perm_det,
     pointed_cone_bound_enumerated,
+    solve_knapsack_positive_dp,
 )
 
 semigroup = importlib.import_module("sparsedioph.semigroup")
@@ -227,9 +228,9 @@ class TestSolveSemigroupPosspan:
 
 class TestKernelVectorPigeonhole:
     def test_frozen_examples(self):
-        assert kernel_vector_pigeonhole((5, 3, 4, 7)).y == (0, -1, -1, 1)
-        assert kernel_vector_pigeonhole((3, 5, 7)).y == (4, -1, -1)
-        assert kernel_vector_pigeonhole((2, 1, 1)).y == (0, -1, 1)
+        assert kernel_vector_pigeonhole((5, 3, 4, 7)) == (0, -1, -1, 1)
+        assert kernel_vector_pigeonhole((3, 5, 7)) == (4, -1, -1)
+        assert kernel_vector_pigeonhole((2, 1, 1)) == (0, -1, 1)
 
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):
@@ -244,7 +245,7 @@ class TestKernelVectorPigeonhole:
             t = head.bit_length() + 1 + rng.randint(1, 3)
             a = (head,) + tuple(rng.randint(1, 50) for _ in range(t - 1))
             assert 2 ** (len(a) - 1) > a[0]
-            y = kernel_vector_pigeonhole(a).y
+            y = kernel_vector_pigeonhole(a)
             assert any(y)
             assert y[0] >= 0
             assert all(v in (-1, 0, 1) for v in y[1:])
@@ -275,6 +276,8 @@ class TestReduceKnapsackSupport:
             reduce_knapsack_support((3, 5), (1, -1))
         with pytest.raises(NonPositive):
             reduce_knapsack_support((3, 0), (1, 1))
+        with pytest.raises(DimensionMismatch):
+            reduce_knapsack_support((), ())
 
     def test_each_pass_cancels_a_coordinate(self, monkeypatch):
         import importlib
@@ -324,12 +327,66 @@ class TestSolveKnapsackPositive:
     def test_negative_rhs_is_infeasible(self):
         assert solve_knapsack_positive((2, 3), -5) is None
 
+    def test_empty_weights_are_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            solve_knapsack_positive((), 3)
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             solve_knapsack_positive((2, 3), 10**9, b_cap=10**6)
         # gcd normalization happens before the cap check
         report = solve_knapsack_positive((10**6, 2 * 10**6), 10 * 10**6, b_cap=100)
         assert report is not None
+
+    def test_cap_is_inclusive(self):
+        # b/gcd = 50 with gcd 2: at the cap it solves, one above it does not.
+        report = solve_knapsack_positive((4, 6), 100, b_cap=50)
+        assert report == solve_knapsack_positive_dp((4, 6), 100, b_cap=50)
+        assert sum(u * v for u, v in zip((4, 6), report.x)) == 100
+        with pytest.raises(CapExceeded, match="b/gcd = 51 exceeds cap 50"):
+            solve_knapsack_positive((4, 6), 102, b_cap=50)
+
+    def test_weight_equal_to_the_gcd_listed_first(self):
+        # Every step of the walk takes the first weight, gcd 6 itself.
+        a = (6, 12, 18, 30)
+        for b in (0, 6, 42, 600):
+            report = solve_knapsack_positive(a, b)
+            assert report == solve_knapsack_positive_dp(a, b)
+            assert report.x == (b // 6, 0, 0, 0)
+        assert solve_knapsack_positive(a, 45) is None
+
+    def test_three_hundred_weights(self):
+        # 255 or more weights took the dynamic program's `list` table; the
+        # only weight below 500 comes last, at index 299.
+        rng = random.Random(71)
+        a = tuple(rng.randint(500, 3000) for _ in range(299)) + (17,)
+        for b in (17 * 29, 17 * 29 + 1, 4000, 4001, 6789):
+            report = solve_knapsack_positive(a, b)
+            assert report == solve_knapsack_positive_dp(a, b)
+            if report is not None:
+                assert sum(u * v for u, v in zip(a, report.x)) == b
+        assert solve_knapsack_positive(a, 17 * 29).x[299] == 29
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_report_equals_the_dynamic_program(self, data):
+        # Drawing from a small pool repeats weights; the factor makes a
+        # common gcd.
+        factor = data.draw(st.sampled_from([1, 2, 3, 6]))
+        pool = data.draw(st.lists(st.integers(1, 300 // factor), min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        a = [factor * w for w in picks]
+        b = data.draw(st.integers(-3, 5000))
+        g = math.gcd(*a)
+        cap = data.draw(st.sampled_from([semigroup.DEFAULT_B_CAP, b // g, b // g - 1]))
+
+        def outcome(solve):
+            try:
+                return solve(a, b, b_cap=cap)
+            except CapExceeded as exc:
+                return str(exc)
+
+        assert outcome(solve_knapsack_positive) == outcome(solve_knapsack_positive_dp)
 
     def test_oracle_never_beats_the_bound(self):
         rng = random.Random(53)

@@ -87,7 +87,6 @@ class TestSparsify:
             assert cert.delta == delta
             assert cert.bound == m + omega_truncated(delta, m)
             assert len(cert.gamma) <= cert.bound
-            assert cert.lattice_fingerprint_match
             assert lattice_equal(A, A.take_columns([i - 1 for i in cert.gamma]))
 
     def test_kernel_calls_per_sparsify(self, monkeypatch):
