@@ -1,9 +1,9 @@
 """Exact-arithmetic toolkit for sparse solutions of linear Diophantine
 systems and integer-programming feasibility problems.
 
-Everything computes over arbitrary-precision integers (and exact
-rationals where linear programming is involved); there is no floating
-point anywhere, so every reported solution and bound is exact.
+Everything computes over arbitrary-precision integers, the simplex
+included; there is no floating point anywhere, so every reported solution
+and bound is exact.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ from .errors import (
     InvalidDelta,
     NoSignMix,
     NonPositive,
-    NotInCone,
     NotPositivelySpanning,
     ParseError,
     RankDeficient,
@@ -54,7 +53,6 @@ from .numtheory import (
 from .oracle import icr_scan, min_support_exact
 from .semigroup import (
     BoundsReport,
-    caratheodory_cone_rep,
     kernel_vector_pigeonhole,
     positively_spans,
     reduce_knapsack_support,
@@ -88,7 +86,6 @@ __all__ = [
     "InvalidDelta",
     "NoSignMix",
     "NonPositive",
-    "NotInCone",
     "NotPositivelySpanning",
     "ParseError",
     "RankDeficient",
@@ -100,7 +97,6 @@ __all__ = [
     "TooLargeForExhaustive",
     "as_vector",
     "big_omega",
-    "caratheodory_cone_rep",
     "det_exact",
     "factorize",
     "first_nonsingular_basis",

@@ -37,10 +37,6 @@ class TooLargeForExhaustive(Error):
     """Instance exceeds the cap for exhaustive subset search."""
 
 
-class NotInCone(Error):
-    """The target vector is not a nonnegative combination of the columns."""
-
-
 class NotPositivelySpanning(Error):
     """The columns do not positively span the ambient space."""
 

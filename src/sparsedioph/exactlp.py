@@ -1,46 +1,37 @@
-"""Exact rational LP feasibility via phase-I simplex with Bland's rule.
+"""Exact LP feasibility via phase-I simplex with Bland's rule.
 
-The only question asked here is whether {x : A x = b, x >= 0} is nonempty,
-and if so, for a basic feasible point of it. The simplex runs fraction-free
-(Edmonds' integer-preserving elimination, as in `intlinalg.det_exact`): the
-tableau is an integer matrix T over one positive common denominator d, and
-each pivot updates T with exact integer divisions by d. Rational inputs are
-brought to integers by one common scale factor, which changes neither the
-sign of a reduced cost nor the row a ratio test picks, so the pivots are
-those of the same simplex run in `fractions.Fraction`. Answers are exact
-`Fraction`s; Bland's smallest-index pivot rule guarantees termination even
-on degenerate instances. Instances are small (a handful of rows), so a
-dense tableau is plenty.
+The only question asked here is whether {x : A x = b, x >= 0} is nonempty
+for an integer system, and if so, for a basic feasible point of it. The
+simplex runs fraction-free (Edmonds' integer-preserving elimination, as in
+`intlinalg.det_exact`): the tableau is an integer matrix T over one positive
+common denominator d, and each pivot updates T with exact integer divisions
+by d. The pivots are those of the same simplex run over the rationals, and
+the point comes back as integer numerators over d. Bland's smallest-index
+pivot rule guarantees termination even on degenerate instances. Instances
+are small (a handful of rows), so a dense tableau is plenty.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 
 def basic_feasible_point(
-    rows: Sequence[Sequence], rhs: Sequence
-) -> Optional[list[Fraction]]:
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[tuple[list[int], int]]:
     """Find a basic feasible solution of {x : A x = b, x >= 0}.
 
-    Entries may be ints or Fractions. Returns a list of n Fractions with at
-    most rank(A) nonzero entries, or None when the system is infeasible.
-    Redundant equality rows are tolerated and dropped internally.
+    Entries are ints. Returns (x, d): n integers with at most rank(A)
+    nonzero entries and a denominator d > 0, the point being x_j / d; or
+    None when the system is infeasible. Redundant equality rows are
+    tolerated and dropped internally.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return [], 1
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("ragged constraint matrix")
-    # One common scale for every row and the rhs keeps the pivots of the
-    # unscaled tableau: structural reduced costs and the objective scale
-    # with it, artificial ones not at all, and each row's ratios by the
-    # same positive factor.
-    scale = math.lcm(*(v.denominator for row in rows for v in row),
-                     *(v.denominator for v in rhs))
     # Tableau columns: n structural + m artificial + rhs; rows are negated
     # where needed so the rhs is nonnegative and the artificials start
     # basic. The last row holds the phase-I reduced costs (minimize the sum
@@ -48,13 +39,9 @@ def basic_feasible_point(
     width = n + m
     tableau: list[list[int]] = []
     for i in range(m):
-        row = [v.numerator * (scale // v.denominator) for v in rows[i]]
-        b = rhs[i].numerator * (scale // rhs[i].denominator)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
+        row = [-v for v in rows[i]] if rhs[i] < 0 else list(rows[i])
         row.extend(1 if k == i else 0 for k in range(m))
-        row.append(b)
+        row.append(abs(rhs[i]))
         tableau.append(row)
     cost = [-sum(col) for col in zip(*tableau)]
     for j in range(n, width):
@@ -119,8 +106,8 @@ def basic_feasible_point(
             if col is not None:
                 pivot(i, col)
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i in range(m):
-        if basis[i] < n and tableau[i][width]:
-            x[basis[i]] = Fraction(tableau[i][width], denom)
-    return x
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][width]
+    return x, denom

@@ -7,28 +7,20 @@ carry 1-based line and column positions.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .intlinalg import IntMatrix, IntVector
 
 
 def _tokenize_line(line: str, lineno: int, source: str):
-    tokens = []
-    col = 0
-    length = len(line)
-    while col < length:
-        if line[col].isspace():
-            col += 1
-            continue
-        start = col
-        while col < length and not line[col].isspace():
-            col += 1
-        tokens.append((line[start:col], start + 1))
     out = []
-    for text, column in tokens:
+    for match in re.finditer(r"\S+", line):
+        token, column = match.group(), match.start() + 1
         try:
-            out.append((int(text, 10), column))
+            out.append((int(token, 10), column))
         except ValueError:
-            raise ParseError(f"expected an integer, got {text!r}", lineno, column, source)
+            raise ParseError(f"expected an integer, got {token!r}", lineno, column, source)
     return out
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diophsolve import (
@@ -40,7 +39,6 @@ from .errors import (
     InfeasibleInput,
     NoSignMix,
     NonPositive,
-    NotInCone,
     NotPositivelySpanning,
     RankDeficient,
 )
@@ -54,7 +52,7 @@ from .intlinalg import (
     hnf_basis,
 )
 from .numtheory import omega_truncated_upper
-from .sparsify import IndexSet, basis_det, first_nonsingular_basis, sparsify
+from .sparsify import basis_det, first_nonsingular_basis, sparsify
 
 DEFAULT_B_CAP = 10**7
 
@@ -109,17 +107,17 @@ def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
     """Primitive integer y >= 0 with A y = 0, positive on the nonempty
     1-based columns `ones` and on at most m others, or None if none exists.
 
-    y is 1_ones plus a basic feasible point of {z >= 0 : A z = -A 1_ones},
-    which has at most rank(A) nonzeros, scaled to a primitive vector.
+    y is 1_ones plus a basic feasible point z / d of
+    {z >= 0 : A z = -A 1_ones}, which has at most rank(A) nonzeros; the
+    integer vector d * y = z + d * 1_ones is divided by its content.
     """
     rows = A.to_rows()
-    z = basic_feasible_point(rows, [-sum(row[j - 1] for j in ones) for row in rows])
-    if z is None:
+    point = basic_feasible_point(rows, [-sum(row[j - 1] for j in ones) for row in rows])
+    if point is None:
         return None
+    y, d = point
     for j in ones:
-        z[j - 1] += 1
-    scale = math.lcm(*(f.denominator for f in z))
-    y = [f.numerator * (scale // f.denominator) for f in z]
+        y[j - 1] += d
     content = math.gcd(*y)
     return [v // content for v in y]
 
@@ -135,19 +133,6 @@ def positively_spans(A: IntMatrix) -> bool:
     if len(hnf_basis(A.to_columns(), A.rows)) < A.rows:
         return False
     return _positive_kernel(A, range(1, A.cols + 1)) is not None
-
-
-def caratheodory_cone_rep(A: IntMatrix, v: Sequence) -> tuple[IndexSet, tuple[Fraction, ...]]:
-    """Represent v as a nonnegative rational combination of at most m
-    columns of A (1-based indices), or raise NotInCone."""
-    if len(v) != A.rows:
-        raise DimensionMismatch("target length differs from row count")
-    solution = basic_feasible_point(A.to_rows(), list(v))
-    if solution is None:
-        raise NotInCone("target is outside the conic hull of the columns")
-    beta = tuple(j + 1 for j, val in enumerate(solution) if val != 0)
-    coeffs = tuple(solution[j - 1] for j in beta)
-    return beta, coeffs
 
 
 def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
@@ -314,13 +299,15 @@ def solve_knapsack_positive(
     must stay within `b_cap`, decides feasibility. A walk down from
     b/gcd(a) takes at each step the first weight, in input order, that
     leaves a reachable value; that solution is then support-reduced.
-    Raises CapExceeded above the cap.
+    Raises NonPositive on a negative cap and CapExceeded above the cap.
     """
     a = as_vector(a)
     if not a:
         raise DimensionMismatch("knapsack needs at least one weight")
     if any(v <= 0 for v in a):
         raise NonPositive("knapsack weights must be positive")
+    if b_cap < 0:
+        raise NonPositive(f"b cap must be nonnegative, got {b_cap}")
     if b < 0:
         return None
     g = math.gcd(*a)

@@ -196,6 +196,8 @@ def solve_knapsack_positive_dp(a, b: int, b_cap: int = DEFAULT_B_CAP):
     a = as_vector(a)
     if any(v <= 0 for v in a):
         raise NonPositive("knapsack weights must be positive")
+    if b_cap < 0:
+        raise NonPositive(f"b cap must be nonnegative, got {b_cap}")
     if b < 0:
         return None
     g = math.gcd(*a)

@@ -89,6 +89,10 @@ CASES = {
                                      {}, {}),
     "knapsack-bad-env": (["knapsack", "--positive", "--a", "2 3", "--b", "5"],
                          {"SPARSEDIOPH_B_CAP": "ten"}, {}),
+    "knapsack-negative-cap-flag": (
+        ["knapsack", "--positive", "--a", "2 3", "--b", "0", "--b-cap", "-1"], {}, {}),
+    "knapsack-negative-cap-env": (["knapsack", "--positive", "--a", "2 3", "--b", "0"],
+                                  {"SPARSEDIOPH_B_CAP": "-3"}, {}),
     "knapsack-no-sign-mix": (["knapsack", "--mixed", "--a", "3 5", "--b", "2"], {}, {}),
     "bounds-extreme-ray-out-of-range": (
         ["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "4"], {}, {}),

@@ -7,17 +7,24 @@ from hypothesis import strategies as st
 from sparsedioph.exactlp import basic_feasible_point
 from oracles import basic_feasible_point_fraction
 
-ENTRY = st.one_of(
-    st.integers(-6, 6),
-    st.fractions(min_value=-6, max_value=6, max_denominator=6),
-)
+ENTRY = st.integers(-6, 6)
+
+
+def as_fractions(point):
+    """The point x / d of a (x, d) answer, checking the integer contract."""
+    if point is None:
+        return None
+    x, d = point
+    assert type(d) is int and d > 0
+    assert all(type(v) is int for v in x)
+    return [Fraction(v, d) for v in x]
 
 
 @st.composite
 def lp_systems(draw):
-    """A x = b with m <= 6, n <= 9, int and Fraction entries, some rows
-    duplicated (possibly scaled) or zero, and b either A w for a
-    nonnegative w or drawn freely (often infeasible, signs mixed)."""
+    """A x = b with m <= 6, n <= 9, integer entries, some rows duplicated
+    (possibly scaled) or zero, and b either A w for an integer w >= 0 or
+    drawn freely (often infeasible, signs mixed)."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 9))
     rows = []
@@ -25,14 +32,14 @@ def lp_systems(draw):
         kind = draw(st.sampled_from(["new", "new", "copy", "zero"]))
         if kind == "copy" and rows:
             source = rows[draw(st.integers(0, len(rows) - 1))]
-            factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            factor = draw(st.sampled_from([1, -1, 2, -3]))
             rows.append([factor * v for v in source])
         elif kind == "zero":
             rows.append([0] * n)
         else:
             rows.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
     if draw(st.booleans()):
-        weight = st.sampled_from([0, 0, 1, 2, Fraction(1, 2)])
+        weight = st.sampled_from([0, 0, 1, 2, 3])
         w = draw(st.lists(weight, min_size=n, max_size=n))
         rhs = [sum(a * v for a, v in zip(row, w)) for row in rows]
     else:
@@ -41,12 +48,11 @@ def lp_systems(draw):
 
 
 def test_trivial_zero_system():
-    point = basic_feasible_point([[1, 0], [0, 1]], [0, 0])
-    assert point == [0, 0]
+    assert as_fractions(basic_feasible_point([[1, 0], [0, 1]], [0, 0])) == [0, 0]
 
 
 def test_simple_feasible():
-    point = basic_feasible_point([[1, 1]], [3])
+    point = as_fractions(basic_feasible_point([[1, 1]], [3]))
     assert point is not None
     assert sum(point) == 3
     assert all(v >= 0 for v in point)
@@ -54,19 +60,22 @@ def test_simple_feasible():
 
 def test_infeasible():
     assert basic_feasible_point([[1, 1]], [-1]) is None
-    assert basic_feasible_point([[2, 4]], [3]) is not None  # rationals allowed
+    # Feasible over the rationals only: x = (3/2, 0).
+    assert as_fractions(basic_feasible_point([[2, 4]], [3])) == [Fraction(3, 2), 0]
     assert basic_feasible_point([[1, 1], [1, 1]], [1, 2]) is None
 
 
 def test_redundant_rows_are_dropped():
-    point = basic_feasible_point([[1, 2], [2, 4]], [3, 6])
+    point = as_fractions(basic_feasible_point([[1, 2], [2, 4]], [3, 6]))
     assert point is not None
     assert point[0] + 2 * point[1] == 3
 
 
 def test_exact_fractions():
-    point = basic_feasible_point([[3]], [1])
-    assert point == [Fraction(1, 3)]
+    # x = 1/3 comes back as a numerator over the tableau denominator.
+    x, d = basic_feasible_point([[3]], [1])
+    assert d > 0
+    assert x[0] > 0 and 3 * x[0] == d
 
 
 def test_random_instances_are_basic():
@@ -86,10 +95,12 @@ def test_random_instances_are_basic():
         if point is None:
             continue
         feasible_seen += 1
-        assert all(v >= 0 for v in point)
+        x, d = point
+        assert d > 0
+        assert all(v >= 0 for v in x)
         for row, target in zip(rows, rhs):
-            assert sum(r * v for r, v in zip(row, point)) == target
-        assert sum(1 for v in point if v != 0) <= m
+            assert sum(r * v for r, v in zip(row, x)) == target * d
+        assert sum(1 for v in x if v != 0) <= m
     assert feasible_seen > 40
 
 
@@ -97,7 +108,7 @@ def test_negative_pivot_when_driving_out_an_artificial():
     # Phase I ends with the second artificial basic at level zero over a
     # -2 entry, so the fraction-free pivot negates its row.
     rows = [[1, 1, 0], [1, -1, 0], [0, 0, 3]]
-    point = basic_feasible_point(rows, [0, 0, 5])
+    point = as_fractions(basic_feasible_point(rows, [0, 0, 5]))
     assert point == [0, 0, Fraction(5, 3)]
     assert point == basic_feasible_point_fraction(rows, [0, 0, 5])
 
@@ -108,7 +119,5 @@ def test_matches_the_fraction_simplex(system):
     # Same pivots, so the same point; an inexact integer division anywhere
     # in the tableau would change it.
     rows, rhs = system
-    point = basic_feasible_point(rows, rhs)
+    point = as_fractions(basic_feasible_point(rows, rhs))
     assert point == basic_feasible_point_fraction(rows, rhs)
-    if point is not None:
-        assert all(type(v) is Fraction for v in point)

@@ -61,3 +61,13 @@ def test_inline_forms():
         parse_inline_matrix("1 2; 3")
     with pytest.raises(ParseError):
         parse_inline_matrix("1 2;; 3 4")
+
+
+def test_any_unicode_whitespace_separates_tokens():
+    # Tokens split on every character for which str.isspace() holds, and
+    # columns count code points from 1.
+    assert parse_inline_vector("\t1\x0b-2\xa03  4\u3000") == (1, -2, 3, 4)
+    with pytest.raises(ParseError) as err:
+        parse_inline_vector("1 5\xa0x7")
+    assert err.value.column == 5
+    assert err.value.message == "expected an integer, got 'x7'"

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,11 +16,9 @@ from sparsedioph import (
     IntMatrix,
     NoSignMix,
     NonPositive,
-    NotInCone,
     NotPositivelySpanning,
     RankDeficient,
     SingularBasis,
-    caratheodory_cone_rep,
     first_nonsingular_basis,
     gcd_maximal_minors,
     kernel_vector_pigeonhole,
@@ -36,6 +35,7 @@ from sparsedioph import (
 )
 from sparsedioph.oracle import _reachable
 from oracles import (
+    basic_feasible_point_fraction,
     knapsack_min_support_dfs,
     minors_gcd,
     perm_det,
@@ -94,43 +94,38 @@ class TestPositivelySpans:
         assert not positively_spans(IntMatrix.from_rows([[2, 3, 7]]))
 
 
-class TestCaratheodory:
-    def test_examples(self):
-        A = IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-        beta, coeffs = caratheodory_cone_rep(A, (-1, -1))
-        assert beta == (3,)
-        assert coeffs == (1,)
-        beta, coeffs = caratheodory_cone_rep(IntMatrix.identity(2), (2, 3))
-        assert beta == (1, 2)
-        assert coeffs == (2, 3)
-        beta, coeffs = caratheodory_cone_rep(IntMatrix.from_rows([[3, -5]]), (-5,))
-        assert beta == (2,)
-        assert coeffs == (1,)
-
-    def test_not_in_cone(self):
-        with pytest.raises(NotInCone):
-            caratheodory_cone_rep(IntMatrix.identity(2), (-1, 0))
-
-    def test_random_representations_are_small_and_exact(self):
+class TestPositiveKernel:
+    def test_is_the_primitive_multiple_of_the_lp_point(self):
+        # y is proportional to 1_ones + z for the LP point z of the
+        # Fraction simplex, lies in the kernel and has content 1.
         rng = random.Random(13)
         hits = 0
-        while hits < 60:
+        for _ in range(300):
             m = rng.randint(1, 3)
             n = rng.randint(1, 6)
             A = IntMatrix.from_rows(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
             )
-            coeffs_true = [rng.randint(0, 3) for _ in range(n)]
-            v = A.mat_vec(coeffs_true)
-            beta, coeffs = caratheodory_cone_rep(A, v)
+            ones = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            y = semigroup._positive_kernel(A, ones)
+            rows = A.to_rows()
+            z = basic_feasible_point_fraction(
+                rows, [-sum(row[j - 1] for j in ones) for row in rows]
+            )
+            assert (y is None) == (z is None)
+            if y is None:
+                continue
             hits += 1
-            assert len(beta) <= m
-            assert all(c > 0 for c in coeffs)
-            combo = [0] * m
-            for idx, c in zip(beta, coeffs):
-                col = A.column(idx - 1)
-                combo = [acc + c * e for acc, e in zip(combo, col)]
-            assert tuple(combo) == v
+            for j in ones:
+                z[j - 1] += 1
+            scale = y[ones[0] - 1] / z[ones[0] - 1]
+            assert scale > 0
+            assert [scale * v for v in z] == y
+            assert all(type(v) is int for v in y)
+            assert math.gcd(*y) == 1
+            assert A.mat_vec(y) == (0,) * m
+            assert sum(1 for v in y if v) <= len(ones) + m
+        assert hits > 30
 
 
 class TestSolveSemigroupPosspan:
@@ -338,6 +333,13 @@ class TestSolveKnapsackPositive:
         report = solve_knapsack_positive((10**6, 2 * 10**6), 10 * 10**6, b_cap=100)
         assert report is not None
 
+    def test_negative_cap_is_rejected(self):
+        # Whatever b is; a cap of 0 still admits b = 0.
+        for b in (-1, 0, 5, 7):
+            with pytest.raises(NonPositive, match="cap must be nonnegative, got -1"):
+                solve_knapsack_positive((2, 3), b, b_cap=-1)
+        assert solve_knapsack_positive((2, 3), 0, b_cap=0).x == (0, 0)
+
     def test_cap_is_inclusive(self):
         # b/gcd = 50 with gcd 2: at the cap it solves, one above it does not.
         report = solve_knapsack_positive((4, 6), 100, b_cap=50)
@@ -383,8 +385,8 @@ class TestSolveKnapsackPositive:
         def outcome(solve):
             try:
                 return solve(a, b, b_cap=cap)
-            except CapExceeded as exc:
-                return str(exc)
+            except (CapExceeded, NonPositive) as exc:
+                return repr(exc)
 
         assert outcome(solve_knapsack_positive) == outcome(solve_knapsack_positive_dp)
 
