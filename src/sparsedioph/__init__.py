@@ -23,29 +23,22 @@ from .errors import (
     ParseError,
     RankDeficient,
     SingularBasis,
-    SingularMatrix,
     TooLargeForExhaustive,
 )
 from .intlinalg import (
-    HnfResult,
     IntMatrix,
     IntVector,
-    SnfResult,
     as_vector,
     det_exact,
     gcd_maximal_minors,
     hnf_basis,
-    hnf_columns,
     lattice_equal,
     lattice_member,
-    snf,
 )
 from .numtheory import (
     Factorization,
-    big_omega,
     factorize,
     is_probable_prime,
-    kappa_from_cyclic_orders,
     omega,
     omega_truncated,
     omega_truncated_upper,
@@ -77,7 +70,6 @@ __all__ = [
     "Error",
     "Factorization",
     "FactorizationTimeout",
-    "HnfResult",
     "HypothesisViolated",
     "IndexSet",
     "InfeasibleInput",
@@ -90,22 +82,17 @@ __all__ = [
     "ParseError",
     "RankDeficient",
     "SingularBasis",
-    "SingularMatrix",
-    "SnfResult",
     "SolutionReport",
     "SparsifyCertificate",
     "TooLargeForExhaustive",
     "as_vector",
-    "big_omega",
     "det_exact",
     "factorize",
     "first_nonsingular_basis",
     "gcd_maximal_minors",
     "hnf_basis",
-    "hnf_columns",
     "icr_scan",
     "is_probable_prime",
-    "kappa_from_cyclic_orders",
     "kernel_vector_pigeonhole",
     "lattice_equal",
     "lattice_member",
@@ -115,7 +102,6 @@ __all__ = [
     "omega_truncated_upper",
     "positively_spans",
     "reduce_knapsack_support",
-    "snf",
     "solve_knapsack_mixed",
     "solve_knapsack_positive",
     "solve_semigroup_posspan",

@@ -9,10 +9,6 @@ class DimensionMismatch(Error):
     """Operands have incompatible shapes or index sets."""
 
 
-class SingularMatrix(Error):
-    """A nonsingular square matrix was required."""
-
-
 class RankDeficient(Error):
     """A full-row-rank matrix was required."""
 

@@ -2,11 +2,13 @@
 
 Everything here works on arbitrary-precision Python ints; there is no
 floating point and no overflow. The central objects are dense row-major
-matrices (`IntMatrix`), column-style Hermite normal forms and Smith normal
-forms of nonsingular square matrices. One column-HNF routine answers every
-lattice question: the canonical basis from `hnf_basis` gives rank, minor
-gcd and lattice equality without a transform, while `hnf_columns` and
-`lattice_member` let identity rows ride along to record the transform.
+matrices (`IntMatrix`) and column-style Hermite normal forms. One
+column-HNF routine, `_hnf`, is the only integer elimination on extended
+gcds and answers every lattice question: the canonical basis from
+`hnf_basis` gives rank, minor gcd and lattice equality without a
+transform, and `lattice_member` lets identity rows ride along to record
+the transform it solves through. Determinants come from Bareiss
+elimination, which needs no gcds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, RankDeficient, SingularMatrix
+from .errors import DimensionMismatch, RankDeficient
 
 IntVector = tuple[int, ...]
 
@@ -66,12 +68,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        d = [int(v) for v in diag]
-        n = len(d)
-        return cls(n, n, tuple(d[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def row_vector(cls, values: Sequence[int]) -> "IntMatrix":
@@ -127,25 +123,6 @@ class IntMatrix:
         return self.rows == self.cols
 
 
-@dataclass(frozen=True)
-class HnfResult:
-    """Column-style Hermite normal form H = A*U with unimodular U."""
-
-    H: IntMatrix
-    U: IntMatrix
-    rank: int
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form D = U*M*V with unimodular U, V and positive
-    diagonal d_1 | d_2 | ... | d_m."""
-
-    D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
     old_r, r = a, b
@@ -191,9 +168,15 @@ def det_exact(M: IntMatrix) -> int:
 
 
 def _hnf(cols: list[list[int]], m: int) -> list[int]:
-    """Bring `cols` to column Hermite normal form (as in `hnf_columns`) in
-    place, taking pivots in the first m entries; returns the pivot rows.
-    Entries below row m ride along with every column operation.
+    """Bring `cols` to column Hermite normal form in place, taking pivots
+    in the first m entries; returns the pivot rows. Entries below row m
+    ride along with every column operation.
+
+    Afterwards the first len(pivots) columns are the canonical lattice
+    basis and the rest are zero in their first m entries. Each pivot (the
+    first nonzero entry of its column, scanning top-down) is positive,
+    pivot rows strictly increase with the column index, and in a pivot's
+    row every entry of an earlier column lies in [0, pivot).
     """
     n = len(cols)
     pivots: list[int] = []
@@ -227,31 +210,6 @@ def _hnf(cols: list[list[int]], m: int) -> list[int]:
     return pivots
 
 
-def _hnf_with_transform(A: IntMatrix) -> tuple[list[list[int]], list[int]]:
-    # Column j of A with e_j appended: afterwards the rows below A.rows hold U.
-    n = A.cols
-    cols = [list(A.column(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return cols, _hnf(cols, A.rows)
-
-
-def hnf_columns(A: IntMatrix) -> HnfResult:
-    """Column Hermite normal form of A.
-
-    Returns H = A*U with U unimodular (n x n), where the first `rank`
-    columns of H are the canonical lattice basis and the rest are zero.
-    Each pivot (the first nonzero entry of its column, scanning top-down)
-    is positive, pivot rows strictly increase with the column index, and in
-    a pivot's row every entry of an earlier column lies in [0, pivot).
-    """
-    m, n = A.rows, A.cols
-    cols, pivots = _hnf_with_transform(A)
-    return HnfResult(
-        H=IntMatrix.from_columns([c[:m] for c in cols]) if n else IntMatrix(m, 0, ()),
-        U=IntMatrix.from_columns([c[m:] for c in cols]) if n else IntMatrix(0, 0, ()),
-        rank=len(pivots),
-    )
-
-
 def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     """Canonical basis of the lattice spanned by `columns` (each of length
     m): the nonzero columns of their column HNF, without a transform.
@@ -262,107 +220,6 @@ def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     cols = [list(c) for c in columns]
     rank = len(_hnf(cols, m))
     return [tuple(c) for c in cols[:rank]]
-
-
-def snf(M: IntMatrix) -> SnfResult:
-    """Smith normal form of a nonsingular square integer matrix.
-
-    Returns D = U*M*V with U, V unimodular and D = diag(d_1, ..., d_m),
-    d_i > 0 and d_i | d_{i+1}. Raises SingularMatrix when det(M) = 0.
-    """
-    if not M.is_square():
-        raise DimensionMismatch("Smith normal form needs a square matrix")
-    m = M.rows
-    if det_exact(M) == 0:
-        raise SingularMatrix("matrix is singular")
-    D = M.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_combine(i1: int, i2: int, a: int, b: int):
-        # Replace rows so that entry (i1, t) becomes gcd and (i2, t) zero.
-        g, s, t = _xgcd(a, b)
-        u, v = -(b // g), a // g
-        r1, r2 = D[i1], D[i2]
-        D[i1] = [s * x + t * y for x, y in zip(r1, r2)]
-        D[i2] = [u * x + v * y for x, y in zip(r1, r2)]
-        q1, q2 = U[i1], U[i2]
-        U[i1] = [s * x + t * y for x, y in zip(q1, q2)]
-        U[i2] = [u * x + v * y for x, y in zip(q1, q2)]
-
-    def col_combine(j1: int, j2: int, a: int, b: int):
-        g, s, t = _xgcd(a, b)
-        u, v = -(b // g), a // g
-        for row in D:
-            x, y = row[j1], row[j2]
-            row[j1], row[j2] = s * x + t * y, u * x + v * y
-        for row in V:
-            x, y = row[j1], row[j2]
-            row[j1], row[j2] = s * x + t * y, u * x + v * y
-
-    for t in range(m):
-        # Move a nonzero into the pivot slot; one exists since M is nonsingular.
-        if D[t][t] == 0:
-            found = next(
-                (i, j)
-                for i in range(t, m)
-                for j in range(t, m)
-                if D[i][j] != 0
-            )
-            i, j = found
-            if i != t:
-                D[t], D[i] = D[i], D[t]
-                U[t], U[i] = U[i], U[t]
-            if j != t:
-                for row in D:
-                    row[t], row[j] = row[j], row[t]
-                for row in V:
-                    row[t], row[j] = row[j], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    if D[i][t] % D[t][t] == 0:
-                        q = D[i][t] // D[t][t]
-                        D[i] = [x - q * y for x, y in zip(D[i], D[t])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                    else:
-                        row_combine(t, i, D[t][t], D[i][t])
-            for j in range(t + 1, m):
-                if D[t][j] != 0:
-                    if D[t][j] % D[t][t] == 0:
-                        q = D[t][j] // D[t][t]
-                        for row in D:
-                            row[j] -= q * row[t]
-                        for row in V:
-                            row[j] -= q * row[t]
-                    else:
-                        col_combine(t, j, D[t][t], D[t][j])
-            if any(D[i][t] != 0 for i in range(t + 1, m)):
-                continue
-            if any(D[t][j] != 0 for j in range(t + 1, m)):
-                continue
-            # Pivot must divide the whole remaining block before moving on.
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, m)
-                    if D[i][j] % D[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            i, _ = offender
-            D[t] = [x + y for x, y in zip(D[t], D[i])]
-            U[t] = [x + y for x, y in zip(U[t], U[i])]
-    for t in range(m):
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-    return SnfResult(
-        D=IntMatrix.from_rows(D), U=IntMatrix.from_rows(U), V=IntMatrix.from_rows(V)
-    )
 
 
 def gcd_maximal_minors(A: IntMatrix) -> int:
@@ -388,9 +245,12 @@ def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     vec = as_vector(b)
     if len(vec) != A.rows:
         raise DimensionMismatch("right-hand side length differs from row count")
-    cols, pivots = _hnf_with_transform(A)
+    # Column j of A with e_j appended: afterwards the rows below A.rows hold U.
+    n = A.cols
+    cols = [list(A.column(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivots = _hnf(cols, A.rows)
     # Subtracting z_j times each whole column leaves b - H z on top and -U z below.
-    residual = list(vec) + [0] * A.cols
+    residual = list(vec) + [0] * n
     for col, p in zip(cols, pivots):
         z, r = divmod(residual[p], col[p])
         if r:

@@ -1,4 +1,8 @@
-"""Integer factorization and prime-counting functions.
+"""Integer factorization and the prime counts the bounds are stated with.
+
+The lattice and semigroup bounds count prime factors with multiplicities
+capped at m (`omega_truncated`); the mixed-knapsack bound counts distinct
+primes (`omega`).
 
 One private splitter serves every caller. It strips 2 and 3, trial-divides
 below 1000, and then works through a stack of cofactors: each one is
@@ -232,26 +236,3 @@ def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
 def omega(z: int) -> int:
     """Number of distinct prime factors of z."""
     return len(factorize(z).factors)
-
-
-def big_omega(z: int) -> int:
-    """Number of prime factors of z counted with multiplicity."""
-    return sum(s for _, s in factorize(z).factors)
-
-
-def kappa_from_cyclic_orders(orders) -> int:
-    """Number of primary cyclic summands of a direct sum of cyclic groups
-    with the given orders.
-
-    Each cyclic group of order d splits into one primary summand per
-    distinct prime of d, so the count is the sum of omega(d_i); order-1
-    factors contribute nothing.
-    """
-    total = 0
-    for d in orders:
-        d = int(d)
-        if d < 1:
-            raise NonPositive(f"cyclic order must be >= 1, got {d}")
-        if d > 1:
-            total += omega(d)
-    return total

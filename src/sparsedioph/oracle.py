@@ -111,14 +111,19 @@ def min_support_exact(
     supports of size up to k_max with coordinates capped at coord_cap, so
     None means "not found within the regime" rather than infeasible; it
     raises CapExceeded after MIN_SUPPORT_POINT_CAP enumerated points.
+    Raises NonPositive for k_max < 0 or coord_cap < 1.
     """
     b = as_vector(b)
     if len(b) != A.rows:
         raise DimensionMismatch("right-hand side length differs from row count")
-    if not any(b):
-        return 0
     if k_max is None:
         k_max = A.cols
+    if k_max < 0:
+        raise NonPositive(f"k_max must be nonnegative, got {k_max}")
+    if coord_cap < 1:
+        raise NonPositive(f"coord_cap must be positive, got {coord_cap}")
+    if not any(b):
+        return 0
     if A.rows == 1:
         return _min_support_single_row(A.row(0), b[0], k_max)
     points = [0]

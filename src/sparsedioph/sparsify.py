@@ -166,20 +166,17 @@ def worst_case_instance(m: int, delta: int) -> IntMatrix:
         raise DimensionMismatch(f"need m >= 1, got {m}")
     if delta < 2:
         raise InvalidDelta(f"need delta >= 2, got {delta}")
-    diag = [1] * m
+    # The prime powers of each diagonal entry, primes increasing.
+    powers: list[list[int]] = [[] for _ in range(m)]
     for p, mult in factorize(delta).factors:
-        if mult < m:
-            for i in range(mult):
-                diag[i] *= p
-        else:
-            diag[0] *= p ** (mult - m + 1)
-            for i in range(1, m):
-                diag[i] *= p
+        exponents = [1] * mult if mult < m else [mult - m + 1] + [1] * (m - 1)
+        for i, e in enumerate(exponents):
+            powers[i].append(p**e)
+    diag = [math.prod(q) for q in powers]
     columns = [[diag[i] if k == i else 0 for k in range(m)] for i in range(m)]
     for i in range(m):
-        for p, mult in factorize(diag[i]).factors:
-            generator = diag[i] // p**mult
-            columns.append([generator if k == i else 0 for k in range(m)])
+        for q in powers[i]:
+            columns.append([diag[i] // q if k == i else 0 for k in range(m)])
     return IntMatrix.from_columns(columns)
 
 

@@ -6,10 +6,12 @@ division, and knapsack minima come from depth-first enumeration. The
 superseded trial-first factorization (trial division up to 10^6 before
 any primality test or rho) is kept as a reference for the splitter that
 replaced it. The
-superseded sparsify (one membership solve per column) and basis choice
-(a C(n, m) subset scan) are kept here as references; they run on
-`hnf_columns` and `lattice_member` with their transforms, not on the
-transform-free `hnf_basis` that the package now uses. The phase-I simplex
+superseded sparsify (one `lattice_member` solve per column) and basis
+choice (a C(n, m) subset scan) are kept here as references for the
+package's passes over transform-free `hnf_basis` bases. The number of
+primary cyclic summands of Z^n / L(M), which the paper bounds by the
+truncated omega of |det M|, is counted from ranks mod p, with no Smith
+normal form. The phase-I simplex
 that did every step in `fractions.Fraction` is kept as the reference for
 the fraction-free one in `exactlp`: same pivot rule, so the two must
 return the same point. The positive knapsack's forward dynamic program,
@@ -32,7 +34,7 @@ from sparsedioph import (
     SparsifyCertificate,
     as_vector,
     det_exact,
-    hnf_columns,
+    hnf_basis,
     lattice_equal,
     lattice_member,
     omega_truncated,
@@ -133,6 +135,43 @@ def factorize_trial_first(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION
     return Factorization(tuple(sorted(counts.items())))
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over GF(p), by Gaussian elimination."""
+    a = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [v * inv % p for v in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def primary_summands(M: IntMatrix) -> int:
+    """Number of primary cyclic summands of Z^n / L(M) for a nonsingular
+    n x n matrix M (n <= 5 or so).
+
+    Z^n / L(M) is the direct sum of Z/d_i over the invariant factors d_i
+    of M, and Z/d_i has one primary summand per prime of d_i. A prime p
+    divides n - rank(M mod p) of the d_i, since unimodular row and column
+    operations keep the rank mod p, so the count is the sum of that over
+    the primes p of |det M|. Raises NonPositive for a singular M, whose
+    quotient has an infinite cyclic summand.
+    """
+    rows = M.to_rows()
+    d = abs(perm_det(rows))
+    if d == 0:
+        raise NonPositive("a singular matrix has an infinite cyclic summand")
+    return sum(M.rows - rank_mod_p(rows, p) for p, _ in trial_factorize(d))
+
+
 def random_matrix(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
@@ -142,7 +181,7 @@ def random_matrix(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:
 def random_full_row_rank(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:
     while True:
         A = random_matrix(rng, m, n, lo, hi)
-        if hnf_columns(A).rank == m:
+        if len(hnf_basis(A.to_columns(), m)) == m:
             return A
 
 
@@ -239,15 +278,15 @@ def first_nonsingular_basis_lex(A: IntMatrix):
 def _reduce_to_unit_gcd(A: IntMatrix) -> IntMatrix:
     """Rewrite A in the basis of its own lattice so the minor gcd becomes 1.
 
-    The basis matrix M is the nonzero block of the column HNF; M is lower
-    triangular, so M^{-1} A is computed by exact forward substitution. The
-    result is integral because every column of A lies in the lattice of M.
+    The basis matrix M is the canonical HNF basis; M is lower triangular,
+    so M^{-1} A is computed by exact forward substitution. The result is
+    integral because every column of A lies in the lattice of M.
     """
     m = A.rows
-    result = hnf_columns(A)
-    if result.rank < m:
-        raise RankDeficient(f"rank {result.rank} < row count {m}")
-    M = result.H.take_columns(range(m)).to_rows()
+    basis = hnf_basis(A.to_columns(), m)
+    if len(basis) < m:
+        raise RankDeficient(f"rank {len(basis)} < row count {m}")
+    M = IntMatrix.from_columns(basis).to_rows()
     new_cols = []
     for j in range(A.cols):
         col = list(A.column(j))

@@ -11,6 +11,9 @@ change of output, rewrite it as below and review the diff:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,10 @@ CASES = {
     "icr-scan-no-weights": (["icr-scan", "--a", "", "--b-max", "5"], {}, {}),
     "knapsack-positive-no-weights": (["knapsack", "--positive", "--a", "", "--b", "3"], {}, {}),
     "oracle-rhs-length": (["oracle", "--matrix", "1 2", "--rhs", "1 2"], {}, {}),
+    "oracle-negative-k-max": (["oracle", "--matrix", "1 2", "--rhs", "5", "--k-max", "-1"],
+                              {}, {}),
+    "oracle-coord-cap-below-one": (
+        ["oracle", "--matrix", "1 2; 3 4", "--rhs", "5 6", "--coord-cap", "-1"], {}, {}),
     "factor-zero": (["factor", "0"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
@@ -156,6 +163,29 @@ def test_golden_covers_every_case(golden):
 def test_transcript(name, argv, env, consts, golden, tmp_path, monkeypatch):
     _write_files(tmp_path)
     assert transcript(argv, env, consts, tmp_path, monkeypatch) == golden[name]
+
+
+def test_module_entry_point_matches_the_golden_run(golden):
+    # The console script calls cli.main, as `python -m sparsedioph.cli` does.
+    argv, _, _ = CASES["readme-knapsack-positive"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop(cli.B_CAP_ENV, None)
+    proc = subprocess.run([sys.executable, "-m", "sparsedioph.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    expected = golden["readme-knapsack-positive"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected["code"], expected["stdout"], expected["stderr"])
+
+
+@pytest.mark.parametrize("name, code", [("knapsack-positive-infeasible", 2),
+                                        ("knapsack-cap-flag", 3)])
+def test_main_exits_with_the_exit_code(name, code, golden, monkeypatch, capsys):
+    monkeypatch.delenv(cli.B_CAP_ENV, raising=False)
+    monkeypatch.setattr(sys, "argv", ["sparsedioph", *CASES[name][0]])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code == golden[name]["code"]
+    assert capsys.readouterr().out == golden[name]["stdout"]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,15 +6,13 @@ from sparsedioph import (
     DimensionMismatch,
     IntMatrix,
     RankDeficient,
-    SingularMatrix,
     det_exact,
     gcd_maximal_minors,
     hnf_basis,
-    hnf_columns,
     lattice_equal,
     lattice_member,
-    snf,
 )
+from sparsedioph import intlinalg
 from oracles import minors_gcd, perm_det, random_full_row_rank, random_matrix
 
 
@@ -59,47 +56,32 @@ class TestDet:
         assert det_exact(M) == 0
 
 
-def assert_hnf_shape(A: IntMatrix, result):
-    H, U, rank = result.H, result.U, result.rank
-    assert A.matmul(U).entries == H.entries
-    assert abs(det_exact(U)) == 1
+def assert_hnf_shape(basis):
     pivot_rows = []
-    for j in range(rank):
-        col = H.column(j)
+    for j, col in enumerate(basis):
         p = next(i for i, v in enumerate(col) if v != 0)
         assert col[p] > 0
         pivot_rows.append(p)
         for k in range(j):
-            assert 0 <= H.at(p, k) < col[p]
-    assert pivot_rows == sorted(pivot_rows)
+            assert 0 <= basis[k][p] < col[p]
     assert all(p2 > p1 for p1, p2 in zip(pivot_rows, pivot_rows[1:]))
-    for j in range(rank, A.cols):
-        assert all(v == 0 for v in H.column(j))
 
 
 class TestHnf:
     def test_identity(self):
-        result = hnf_columns(IntMatrix.identity(2))
-        assert result.H.entries == IntMatrix.identity(2).entries
-        assert result.U.entries == IntMatrix.identity(2).entries
-        assert result.rank == 2
+        assert hnf_basis(IntMatrix.identity(2).to_columns(), 2) == [(1, 0), (0, 1)]
 
     def test_single_row_gcd(self):
-        result = hnf_columns(IntMatrix.from_rows([[6, 10, 15]]))
-        assert result.H.to_rows() == [[1, 0, 0]]
-        assert result.rank == 1
+        assert hnf_basis([[6], [10], [15]], 1) == [(1,)]
 
     def test_two_rows(self):
         A = IntMatrix.from_rows([[2, 0, 4], [0, 2, 2]])
-        result = hnf_columns(A)
-        assert result.rank == 2
-        block = result.H.take_columns([0, 1])
-        assert abs(det_exact(block)) == 4
+        basis = hnf_basis(A.to_columns(), 2)
+        assert len(basis) == 2
+        assert abs(det_exact(IntMatrix.from_columns(basis))) == 4
 
     def test_zero_matrix(self):
-        result = hnf_columns(IntMatrix(2, 3, (0,) * 6))
-        assert result.rank == 0
-        assert all(v == 0 for v in result.H.entries)
+        assert hnf_basis(IntMatrix(2, 3, (0,) * 6).to_columns(), 2) == []
 
     def test_invariants_random(self):
         rng = random.Random(202)
@@ -107,17 +89,29 @@ class TestHnf:
             m = rng.randint(1, 4)
             n = rng.randint(1, 7)
             A = random_matrix(rng, m, n, -9, 9)
-            assert_hnf_shape(A, hnf_columns(A))
+            basis = hnf_basis(A.to_columns(), m)
+            assert_hnf_shape(basis)
+            B = IntMatrix.from_columns(basis) if basis else IntMatrix(m, 0, ())
+            assert all(lattice_member(A, col) is not None for col in basis)
+            assert all(lattice_member(B, A.column(j)) is not None for j in range(n))
 
     def test_basis_is_the_nonzero_part_of_the_transform_version(self):
+        # lattice_member's set-up: identity rows ride along below A and
+        # record the unimodular U with A U = H.
         rng = random.Random(204)
         for _ in range(120):
             m = rng.randint(1, 4)
             n = rng.randint(0, 7)
             A = random_matrix(rng, m, n, -9, 9)
-            result = hnf_columns(A)
+            cols = [list(A.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
+            rank = len(intlinalg._hnf(cols, m))
             basis = hnf_basis(A.to_columns(), m)
-            assert basis == [result.H.column(j) for j in range(result.rank)]
+            assert basis == [tuple(c[:m]) for c in cols[:rank]]
+            assert all(not any(c[:m]) for c in cols[rank:])
+            if n:
+                U = IntMatrix.from_columns([c[m:] for c in cols])
+                assert A.matmul(U).to_columns() == [c[:m] for c in cols]
+                assert abs(det_exact(U)) == 1
 
 
 class TestGcdMaximalMinors:
@@ -137,72 +131,6 @@ class TestGcdMaximalMinors:
             n = rng.randint(m, 7)
             A = random_full_row_rank(rng, m, n, -9, 9)
             assert gcd_maximal_minors(A) == minors_gcd(A)
-
-
-class TestSnf:
-    def test_coprime_diagonal(self):
-        result = snf(IntMatrix.diagonal([2, 3]))
-        assert result.D.entries == IntMatrix.diagonal([1, 6]).entries
-
-    def test_identity(self):
-        result = snf(IntMatrix.identity(3))
-        assert result.D.entries == IntMatrix.identity(3).entries
-
-    def test_divisibility_normalization(self):
-        result = snf(IntMatrix.diagonal([6, 2]))
-        assert result.D.entries == IntMatrix.diagonal([2, 6]).entries
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            snf(IntMatrix.from_rows([[1, 2], [2, 4]]))
-
-    def test_invariants_random(self):
-        rng = random.Random(404)
-        checked = 0
-        while checked < 100:
-            n = rng.randint(1, 4)
-            M = random_matrix(rng, n, n, -9, 9)
-            d = det_exact(M)
-            if d == 0:
-                continue
-            checked += 1
-            result = snf(M)
-            assert result.U.matmul(M).matmul(result.V).entries == result.D.entries
-            assert abs(det_exact(result.U)) == 1
-            assert abs(det_exact(result.V)) == 1
-            diag = [result.D.at(i, i) for i in range(n)]
-            assert all(v > 0 for v in diag)
-            assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
-            assert math.prod(diag) == abs(d)
-            off = [
-                result.D.at(i, j)
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ]
-            assert all(v == 0 for v in off)
-
-    def test_matches_determinantal_divisors(self):
-        # d_1 * ... * d_k equals the gcd of all k x k minors.
-        rng = random.Random(505)
-        checked = 0
-        while checked < 60:
-            n = rng.randint(1, 3)
-            M = random_matrix(rng, n, n, -9, 9)
-            if det_exact(M) == 0:
-                continue
-            checked += 1
-            diag = [snf(M).D.at(i, i) for i in range(n)]
-            rows = M.to_rows()
-            import itertools
-
-            for k in range(1, n + 1):
-                g = 0
-                for rsel in itertools.combinations(range(n), k):
-                    for csel in itertools.combinations(range(n), k):
-                        sub = [[rows[i][j] for j in csel] for i in rsel]
-                        g = math.gcd(g, perm_det(sub))
-                assert math.prod(diag[:k]) == g
 
 
 class TestLatticeMember:

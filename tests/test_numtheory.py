@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from sparsedioph import (
     FactorizationTimeout,
+    IntMatrix,
     NonPositive,
-    big_omega,
     det_exact,
     factorize,
     is_probable_prime,
-    kappa_from_cyclic_orders,
     numtheory,
     omega,
     omega_truncated,
     omega_truncated_upper,
-    snf,
 )
-from oracles import factorize_trial_first, random_matrix, trial_factorize
+from oracles import factorize_trial_first, primary_summands, random_matrix, trial_factorize
 
 
 def next_prime(n: int) -> int:
@@ -110,8 +108,7 @@ class TestOmega:
 
     def test_shorthands(self):
         assert omega(12) == 2
-        assert big_omega(12) == 3
-        assert omega(1) == 0 and big_omega(1) == 0
+        assert omega(1) == 0
 
     def test_requires_positive_arguments(self):
         with pytest.raises(NonPositive):
@@ -126,7 +123,7 @@ class TestOmega:
         values = list(range(1, 20001)) + [rng.randint(1, 10**6) for _ in range(500)]
         for z in values:
             w = omega(z)
-            big = big_omega(z)
+            big = sum(s for _, s in trial_factorize(z))
             assert w == omega_truncated(z, 1)
             prev = w
             for m in (2, 3, 5, 64):
@@ -168,17 +165,21 @@ class TestOmegaTruncatedUpper:
 
 
 class TestKappa:
+    # kappa counts the primary cyclic summands of Z^n / L(M).
     def test_examples(self):
-        assert kappa_from_cyclic_orders([1, 1]) == 0
-        assert kappa_from_cyclic_orders([6, 2]) == 3
-        assert kappa_from_cyclic_orders([12]) == 2
+        assert primary_summands(IntMatrix.identity(2)) == 0
+        assert primary_summands(IntMatrix.from_rows([[6, 0], [0, 2]])) == 3  # Z/2 + Z/3 + Z/2
+        assert primary_summands(IntMatrix.from_rows([[12]])) == 2  # Z/4 + Z/3
+        # Invariant factors 2 and 6, not visible on the diagonal.
+        assert primary_summands(IntMatrix.from_rows([[2, 4], [4, 2]])) == 3
 
     def test_rejects_nonpositive_orders(self):
+        # det 0: Z^n / L(M) has an infinite cyclic summand.
         with pytest.raises(NonPositive):
-            kappa_from_cyclic_orders([3, 0])
+            primary_summands(IntMatrix.from_rows([[3, 0], [6, 0]]))
 
     def test_bounded_by_truncated_omega_of_group_order(self):
-        # kappa(Z^m / lattice) <= Omega_m(det) via the SNF diagonal.
+        # kappa(Z^m / lattice) <= Omega_m(det).
         rng = random.Random(37)
         checked = 0
         while checked < 60:
@@ -188,5 +189,4 @@ class TestKappa:
             if d == 0:
                 continue
             checked += 1
-            diag = [snf(M).D.at(i, i) for i in range(n)]
-            assert kappa_from_cyclic_orders(diag) <= omega_truncated(abs(d), n)
+            assert primary_summands(M) <= omega_truncated(abs(d), n)

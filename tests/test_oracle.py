@@ -59,6 +59,18 @@ class TestMinSupportExact:
         with pytest.raises(DimensionMismatch, match="right-hand side length differs"):
             min_support_exact(IntMatrix.from_rows([[1, 2]]), (1, 2))
 
+    def test_caps_must_be_in_range(self):
+        one_row, two_rows = IntMatrix.from_rows([[1, 2]]), IntMatrix.identity(2)
+        with pytest.raises(NonPositive, match="k_max must be nonnegative, got -1"):
+            min_support_exact(one_row, (5,), k_max=-1)
+        with pytest.raises(NonPositive, match="coord_cap must be positive, got 0"):
+            min_support_exact(two_rows, (5, 6), coord_cap=0)
+        with pytest.raises(NonPositive, match="coord_cap must be positive, got -1"):
+            min_support_exact(two_rows, (0, 0), coord_cap=-1)
+        # The smallest caps in range still search.
+        assert min_support_exact(one_row, (5,), k_max=0) is None
+        assert min_support_exact(two_rows, (1, 1), coord_cap=1) == 2
+
     def test_point_cap(self, monkeypatch):
         # (1, 1) takes the three single columns, then x = (1, 1, 0): 4 points.
         A = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])

@@ -184,6 +184,21 @@ class TestWorstCaseInstance:
         with pytest.raises(DimensionMismatch):
             worst_case_instance(0, 6)
 
+    def test_factors_delta_once(self, monkeypatch):
+        calls = []
+        true_factorize = sparsify_module.factorize
+
+        def counting(z):
+            calls.append(z)
+            return true_factorize(z)
+
+        monkeypatch.setattr(sparsify_module, "factorize", counting)
+        for m in (1, 2, 3, 5):
+            for delta in (2, 12, 36, 360, 1024, 2 * 3 * 5 * 7 * 11 * 13):
+                calls.clear()
+                worst_case_instance(m, delta)
+                assert calls == [delta]
+
     def test_generates_full_lattice_with_unit_gcd(self):
         for m in (1, 2, 3):
             for delta in (2, 12, 36, 60, 128, 180):
