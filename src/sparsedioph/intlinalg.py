@@ -2,17 +2,18 @@
 
 Everything here works on arbitrary-precision Python ints; there is no
 floating point and no overflow. The central objects are dense row-major
-matrices (`IntMatrix`) and column-style Hermite normal forms. One
-column-HNF routine, `_hnf`, is the only integer elimination on extended
-gcds and answers every lattice question: the canonical basis from
-`hnf_basis` gives rank, minor gcd and lattice equality without a
-transform, and `lattice_member` lets identity rows ride along to record
-the transform it solves through. Determinants come from Bareiss
+matrices (`IntMatrix`) and column-style Hermite normal forms. Canonical
+bases grow one column at a time (`_hnf_insert`, after Micciancio and
+Warinschi, ISSAC 2001): `hnf_basis` folds it over a column list, and its
+bases give rank, minor gcd and lattice equality. Only `lattice_member`
+runs the full elimination `_hnf`, letting identity rows ride along to
+record the transform it solves through. Determinants come from Bareiss
 elimination, which needs no gcds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -210,6 +211,43 @@ def _hnf(cols: list[list[int]], m: int) -> list[int]:
     return pivots
 
 
+def _hnf_insert(basis: Sequence[IntVector], v: Sequence[int]) -> list[IntVector]:
+    """Canonical basis of the lattice of `basis` (canonical, of any rank,
+    left unmodified) and column v. Row by row, v loses a multiple of the column
+    pivoting there, or is xgcd-combined with it when that pivot does not
+    divide v's entry; a v nonzero where no column pivots joins the basis.
+    Then only the pivot rows from the first changed column on are reduced."""
+    basis, v = list(basis), list(v)
+    k, low = 0, len(basis)
+    for i in range(len(v)):
+        if k < len(basis) and basis[k][i]:
+            # Columns before k pivot above row i and columns after it below.
+            col, a = basis[k], v[i]
+            q, r = divmod(a, col[i])
+            if r:
+                g, s, t = _xgcd(col[i], a)
+                # [[s, -a//g], [t, pivot//g]] has determinant 1.
+                u, w = -(a // g), col[i] // g
+                basis[k] = tuple([s * y + t * x for y, x in zip(col, v)])
+                v = [u * y + w * x for y, x in zip(col, v)]
+                low = min(low, k)
+            elif q:
+                v = [x - q * y for x, y in zip(v, col)]
+            k += 1
+        elif v[i]:
+            basis.insert(k, tuple(v) if v[i] > 0 else tuple([-x for x in v]))
+            low = min(low, k)
+            break
+    for c in range(low, len(basis)):
+        col = basis[c]
+        p = next(i for i, x in enumerate(col) if x)
+        for j in range(c):
+            q = basis[j][p] // col[p]
+            if q:
+                basis[j] = tuple([x - q * y for x, y in zip(basis[j], col)])
+    return basis
+
+
 def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     """Canonical basis of the lattice spanned by `columns` (each of length
     m): the nonzero columns of their column HNF, without a transform.
@@ -217,9 +255,7 @@ def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     Its length is the rank; at full rank it is lower triangular with the
     lattice determinant as diagonal product. Equal bases mean equal lattices.
     """
-    cols = [list(c) for c in columns]
-    rank = len(_hnf(cols, m))
-    return [tuple(c) for c in cols[:rank]]
+    return functools.reduce(_hnf_insert, columns, [])
 
 
 def gcd_maximal_minors(A: IntMatrix) -> int:

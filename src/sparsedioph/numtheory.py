@@ -15,13 +15,16 @@ reproducible.
 `factorize` gives rho a large budget and raises FactorizationTimeout when
 a cofactor resists it. `omega_truncated_upper` serves the sparsity bounds,
 which need a number rather than a factorization: it gives rho a small
-budget, trial-divides a resisting cofactor c up to TRIAL_DIVISION_LIMIT = L,
-and, if c is still composite, counts it as floor(log_L c) prime factors,
-which is an upper bound because each of them exceeds L.
+budget, trial-divides a resisting cofactor c up to TRIAL_DIVISION_LIMIT = L
+(only in the blocks of primes whose product, built once per process, shares
+a factor with c), and, if c is still composite, counts it as floor(log_L c)
+prime factors, which is an upper bound because each of them exceeds L.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,9 +33,7 @@ from .errors import FactorizationTimeout, NonPositive
 
 TRIAL_DIVISION_LIMIT = 10**6
 DEFAULT_RHO_ITERATION_CAP = 10**7
-# Every input is trial-divided by d and d + 2 for d = 5, 11, ... below
-# this number, which has the form 6k - 1 so that the longer trial division
-# of a resisting cofactor can resume at it.
+# Every input is trial-divided by the primes below this number.
 _SMALL_TRIAL_LIMIT = 1001
 # Rho budget for the certified bounds. Rho spends about sqrt(p) iterations
 # to find a prime factor p, so this splits off factors below about 2^26
@@ -150,6 +151,36 @@ def _trial_divide(v: int, start: int, limit: int, counts: dict[int, int]) -> int
     return v
 
 
+@functools.cache
+def _prime_blocks() -> tuple[tuple[int, int, int], ...]:
+    """(start, end, product) for each of the 306 blocks of 256 consecutive
+    primes in [_SMALL_TRIAL_LIMIT, L], sieved once per process on first use;
+    _trial_divide(v, start, end, ...) tries every prime of its block."""
+    limit = TRIAL_DIVISION_LIMIT + 1
+    odd_prime = bytearray([1]) * (limit // 2)  # index i stands for 2i + 1
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd_prime[p // 2]:
+            odd_prime[p * p // 2 :: p] = bytes(len(range(p * p // 2, limit // 2, p)))
+    primes = itertools.compress(range(_SMALL_TRIAL_LIMIT, limit, 2), odd_prime[_SMALL_TRIAL_LIMIT // 2 :])
+    blocks = []
+    while chunk := list(itertools.islice(primes, 256)):
+        # _trial_divide starts at a number of the form 6k - 1.
+        start = chunk[0] - 2 if chunk[0] % 6 == 1 else chunk[0]
+        blocks.append((start, chunk[-1] + 1, math.prod(chunk)))
+    return tuple(blocks)
+
+
+def _trial_divide_blocks(v: int, counts: dict[int, int]) -> int:
+    """_trial_divide(v, _SMALL_TRIAL_LIMIT, L + 1, counts), run only on the
+    prime blocks that share a factor with v."""
+    for start, end, product in _prime_blocks():
+        if start * start > v:
+            break
+        if math.gcd(product, v) > 1:
+            v = _trial_divide(v, start, end, counts)
+    return v
+
+
 def _split(z: int, rho_cap: int) -> tuple[dict[int, int], list[int]]:
     """Prime multiplicities of z, and the cofactors rho could not split.
 
@@ -219,9 +250,7 @@ def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
     counts, stuck = _split(z, _BOUND_RHO_ITERATION_CAP)
     unsplit = 0
     for c in stuck:
-        c = _trial_divide(c, _SMALL_TRIAL_LIMIT, TRIAL_DIVISION_LIMIT + 1, counts)
-        if c == 1:
-            continue
+        c = _trial_divide_blocks(c, counts)
         if is_probable_prime(c):
             counts[c] = counts.get(c, 0) + 1
             continue

@@ -16,16 +16,17 @@ which `solve_knapsack_positive` also walks back through.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NonPositive
 from .intlinalg import IntMatrix, as_vector
-from .semigroup import _closure_bitset
+from .semigroup import _add_coin, _closure_bitset
 
 DEFAULT_COORD_CAP = 50
-# icr_scan keeps bitsets of b_max/gcd + 1 bits, several per subset.
+# icr_scan keeps bitsets of b_max/gcd + 1 bits, up to two levels of subsets.
 ICR_SCAN_CAP = 10**7
 # Work caps, so that a search too large to finish ends with CapExceeded
 # after a few seconds: bits over all subset closures of icr_scan, and
@@ -139,7 +140,8 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
 
     This is a lower bound for the integer Caratheodory rank of the row a:
     the scan cannot rule out worse right-hand sides beyond b_max. Exact
-    per-value answers come from the bitset closure of each weight subset.
+    per-value answers come from the bitset closure of each weight subset,
+    grown from its prefix's closure by one weight, level by level.
     Raises CapExceeded when b_max/gcd(a) exceeds ICR_SCAN_CAP, and once
     the subset closures computed reach more than ICR_SCAN_WORK_CAP bits
     in total.
@@ -157,19 +159,27 @@ def icr_scan(a: Sequence[int], b_max: int) -> int:
     if limit > ICR_SCAN_CAP:
         raise CapExceeded(f"b_max/gcd = {limit} exceeds cap {ICR_SCAN_CAP}")
     unassigned = (1 << (limit + 1)) - 2  # value 0 has support 0 already
-    worst = 0
-    work = 0
+    mask = unassigned | 1
+    worst = work = 0
+    # (last index, closure) of the subsets one level down that a later
+    # weight extends, in the order of itertools.combinations.
+    level = collections.deque([(-1, 1)])
     for k in range(1, len(weights) + 1):
         if not unassigned:
             break
-        for subset in itertools.combinations(weights, k):
-            work += limit + 1
-            if work > ICR_SCAN_WORK_CAP:
-                raise CapExceeded(
-                    f"subset closures x (b_max/gcd + 1) bits exceed cap {ICR_SCAN_WORK_CAP}"
-                )
-            hits = _closure_bitset(subset, limit) & unassigned
-            if hits:
-                worst = k
-                unassigned &= ~hits
+        for _ in range(len(level)):
+            last, prefix = level.popleft()
+            for j in range(last + 1, len(weights)):
+                work += limit + 1
+                if work > ICR_SCAN_WORK_CAP:
+                    raise CapExceeded(
+                        f"subset closures x (b_max/gcd + 1) bits exceed cap {ICR_SCAN_WORK_CAP}"
+                    )
+                closure = _add_coin(prefix, weights[j], mask)
+                hits = closure & unassigned
+                if hits:
+                    worst = k
+                    unassigned &= ~hits
+                if j + 1 < len(weights):
+                    level.append((j, closure))
     return worst

@@ -91,15 +91,19 @@ def _closure_bitset(coins: Sequence[int], limit: int) -> int:
     mask = (1 << (limit + 1)) - 1
     bits = 1
     for c in coins:
-        if c > limit:
-            continue
-        shift = c
-        while True:
-            grown = (bits | (bits << shift)) & mask
-            if grown == bits:
-                break
-            bits = grown
-            shift *= 2
+        bits = _add_coin(bits, c, mask)
+    return bits
+
+
+def _add_coin(bits: int, coin: int, mask: int) -> int:
+    """The bitset `bits` closed under adding `coin`, cut to `mask`."""
+    shift = coin
+    while shift < mask.bit_length():
+        grown = (bits | (bits << shift)) & mask
+        if grown == bits:
+            break
+        bits = grown
+        shift *= 2
     return bits
 
 

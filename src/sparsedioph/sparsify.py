@@ -19,6 +19,7 @@ Column indices in the public API are 1-based throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
+    _hnf_insert,
     det_exact,
     gcd_maximal_minors,
     hnf_basis,
@@ -100,7 +102,7 @@ def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
     for j in range(A.cols):
         if len(basis) == m:
             break
-        grown = hnf_basis(basis + [A.column(j)], m)
+        grown = _hnf_insert(basis, A.column(j))
         if len(grown) > len(basis):
             kept.append(j + 1)
             basis = grown
@@ -132,20 +134,20 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     # suffix[k] is the basis of tau plus rest[k:].
     suffix = [hnf_basis([columns[j] for j in tau0], m)]
     for j in reversed(rest):
-        suffix.append(hnf_basis(suffix[-1] + [columns[j]], m))
+        suffix.append(_hnf_insert(suffix[-1], columns[j]))
     suffix.reverse()
     full = suffix[0]
     delta = abs(det_tau) // math.prod(col[i] for i, col in enumerate(full))
     kept: list[int] = []
     for k, j in enumerate(rest):
-        if hnf_basis(suffix[k + 1] + [columns[i] for i in kept], m) != full:
+        if functools.reduce(_hnf_insert, (columns[i] for i in kept), suffix[k + 1]) != full:
             kept.append(j)
     gamma = tuple(sorted(j + 1 for j in kept + tau0))
     omega_m, exact = omega_truncated_upper(delta, m)
     bound = m + omega_m
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
-    if hnf_basis([columns[j - 1] for j in gamma], m) != full:
+    if functools.reduce(_hnf_insert, (columns[j] for j in kept), suffix[-1]) != full:
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(
         tau=tau, gamma=gamma, bound=bound, delta=delta, bound_exact=exact

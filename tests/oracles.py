@@ -18,6 +18,9 @@ return the same point. The positive knapsack's forward dynamic program,
 which stored a parent weight per value, is kept as the reference for the
 walk back through the bitset closure that replaced it: both pick the
 same weight at every value, so the two must return the same report.
+The `icr_scan` that built every subset's closure from scratch is kept as
+the reference for the one that adds one weight to a closure one level
+down: both must return the same value or stop at the same work cap.
 """
 
 import itertools
@@ -48,7 +51,7 @@ from sparsedioph.numtheory import (
     _pollard_rho,
     is_probable_prime,
 )
-from sparsedioph.semigroup import DEFAULT_B_CAP
+from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset
 from sparsedioph.sparsify import check_index_set
 
 
@@ -263,6 +266,28 @@ def solve_knapsack_positive_dp(a, b: int, b_cap: int = DEFAULT_B_CAP):
         x0[idx] += 1
         v -= weights[idx]
     return reduce_knapsack_support(a, x0)
+
+
+def icr_scan_from_scratch(a, b_max: int, work_cap: int) -> int:
+    """`oracle.icr_scan` for valid input, with each subset's closure bitset
+    computed from scratch and CapExceeded once their bits exceed work_cap."""
+    g = math.gcd(*a)
+    weights = [v // g for v in a]
+    limit = b_max // g
+    unassigned = (1 << (limit + 1)) - 2
+    worst = work = 0
+    for k in range(1, len(weights) + 1):
+        if not unassigned:
+            break
+        for subset in itertools.combinations(weights, k):
+            work += limit + 1
+            if work > work_cap:
+                raise CapExceeded(f"subset closures x (b_max/gcd + 1) bits exceed cap {work_cap}")
+            hits = _closure_bitset(subset, limit) & unassigned
+            if hits:
+                worst = k
+                unassigned &= ~hits
+    return worst
 
 
 def first_nonsingular_basis_lex(A: IntMatrix):

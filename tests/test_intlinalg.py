@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedioph import (
     DimensionMismatch,
@@ -112,6 +114,52 @@ class TestHnf:
                 U = IntMatrix.from_columns([c[m:] for c in cols])
                 assert A.matmul(U).to_columns() == [c[:m] for c in cols]
                 assert abs(det_exact(U)) == 1
+
+
+@st.composite
+def column_lists(draw):
+    """Columns of length m = 1..6 with entries up to 2^40, among them zero
+    columns, repeats and integer combinations of earlier columns."""
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(("new", "new", "zero", "repeat", "combine")),
+                              max_size=9)):
+        if kind == "new" or not cols:
+            cols.append(draw(st.lists(entry, min_size=m, max_size=m)))
+        elif kind == "zero":
+            cols.append([0] * m)
+        elif kind == "repeat":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            cols.append([s * x + t * y for x, y in zip(a, b)])
+    return m, cols
+
+
+class TestHnfInsert:
+    @settings(max_examples=300, deadline=None)
+    @given(column_lists())
+    def test_fold_of_inserts_is_the_hnf_from_scratch(self, case):
+        m, cols = case
+        scratch = [list(c) for c in cols]
+        rank = len(intlinalg._hnf(scratch, m))
+        expected = [tuple(c) for c in scratch[:rank]]
+        basis = []
+        for col in cols:
+            previous, snapshot = basis, list(basis)
+            basis = intlinalg._hnf_insert(previous, col)
+            assert previous == snapshot
+            assert_hnf_shape(basis)
+        assert basis == expected
+        assert hnf_basis(cols, m) == expected
+
+    def test_rank_deficient_basis_takes_a_new_pivot_between_old_ones(self):
+        basis = hnf_basis([[2, 5, 7], [0, 0, 3]], 3)
+        assert basis == [(2, 5, 1), (0, 0, 3)]
+        assert intlinalg._hnf_insert(basis, [0, 4, 1]) == [(2, 1, 0), (0, 4, 1), (0, 0, 3)]
+        assert intlinalg._hnf_insert(basis, [4, 10, 2]) == basis
 
 
 class TestGcdMaximalMinors:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -162,6 +166,58 @@ class TestOmegaTruncatedUpper:
             omega_truncated_upper(0, 1)
         with pytest.raises(NonPositive):
             omega_truncated_upper(12, 0)
+
+
+def previous_prime(n: int) -> int:
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+P60 = next_prime(2**59 + 12345)
+Q62 = next_prime(2**61 + 6789)
+
+
+class TestPrimeBlocks:
+    def test_blocks_hold_the_primes_up_to_the_limit_in_order(self):
+        blocks = numtheory._prime_blocks()
+        assert blocks[0][0] == 1007 and next_prime(1001) == 1009
+        assert blocks[-1][1] == 999984 and previous_prime(10**6) == 999983
+        for (_, end, _), (start, _, _) in zip(blocks, blocks[1:]):
+            # No prime falls between blocks, and each start has the form 6k - 1.
+            assert start % 6 == 5 and next_prime(end) - start in (0, 2)
+        assert blocks[0][2] % 1009 == 0 and blocks[-1][2] % 999983 == 0
+
+    def test_block_path_equals_the_trial_division(self):
+        blocks = numtheory._prime_blocks()
+        # The last prime of a block and the first of the next.
+        edges = []
+        for k in (0, 1, 150, len(blocks) - 2):
+            last = previous_prime(blocks[k][1] - 1)
+            edges += [last, next_prime(last + 1)]
+        cofactors = [1009, 1013, 1009 * 1013, 1009**2 * 1013**3, 1000003, 1009 * 1000003]
+        cofactors += [p**e for p in (999979, 999983) for e in (1, 2, 3)]
+        cofactors += [999979 * 999983, 1013 * 999983**2 * 1000003]
+        cofactors += edges + [p * q for p, q in zip(edges, edges[1:])] + [p**2 for p in edges]
+        cofactors += [P60 * Q62, 1009 * P60 * Q62, edges[3] * P60, 999983**2 * P60 * Q62]
+        for v in cofactors:
+            trial, blocked = {}, {}
+            expected = numtheory._trial_divide(v, 1001, 10**6 + 1, trial)
+            assert (numtheory._trial_divide_blocks(v, blocked), blocked) == (expected, trial), v
+
+    def test_built_on_first_use_not_at_import(self):
+        code = (
+            "from sparsedioph import cli, numtheory\n"
+            "cli.run(['factor', '360'])\n"
+            "print(numtheory._prime_blocks.cache_info().currsize)\n"
+            "numtheory._trial_divide_blocks(1009 * 1013, {})\n"
+            "print(numtheory._prime_blocks.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["0", "1"]
 
 
 class TestKappa:

@@ -13,7 +13,12 @@ from sparsedioph import (
     solve_sparse_lattice,
 )
 from sparsedioph import oracle
-from oracles import knapsack_min_support_dfs, random_full_row_rank, random_nonsingular_tau
+from oracles import (
+    icr_scan_from_scratch,
+    knapsack_min_support_dfs,
+    random_full_row_rank,
+    random_nonsingular_tau,
+)
 
 
 class TestMinSupportExact:
@@ -127,6 +132,25 @@ class TestIcrScan:
         monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", 3 * 41 - 1)
         with pytest.raises(CapExceeded, match=r"bits exceed cap 122"):
             icr_scan((2, 3), 40)
+
+    def test_matches_closures_from_scratch(self, monkeypatch):
+        # Up to 6 weights, so that closures grow through five levels, and
+        # work caps that stop the scan at every level.
+        rng = random.Random(31)
+        for _ in range(150):
+            a = tuple(rng.randint(1, 40) * rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+            b_max = rng.randint(0, 400)
+            subsets = 2 ** len(a) - 1
+            cap = (b_max // math.gcd(*a) + 1) * rng.randint(1, subsets + 1)
+            monkeypatch.setattr(oracle, "ICR_SCAN_WORK_CAP", cap)
+            try:
+                expected = icr_scan_from_scratch(a, b_max, cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as got:
+                    icr_scan(a, b_max)
+                assert str(got.value) == str(exc)
+            else:
+                assert icr_scan(a, b_max) == expected
 
     def test_validation(self):
         with pytest.raises(NonPositive):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
+from sparsedioph import intlinalg
 from sparsedioph import (
     DimensionMismatch,
     IntMatrix,
@@ -112,6 +113,24 @@ class TestSparsify:
             cert = sparsify(A, tau)
             assert len(sizes) <= 2 * (n - m) + 2
             assert max(sizes) <= len(cert.gamma) + 1
+
+    def test_no_hnf_from_scratch(self, monkeypatch):
+        # Every basis grows by one-column inserts; a rebuild per column
+        # would call the full elimination.
+        calls = []
+        true_hnf = intlinalg._hnf
+
+        def counting(cols, m):
+            calls.append(len(cols))
+            return true_hnf(cols, m)
+
+        monkeypatch.setattr(intlinalg, "_hnf", counting)
+        rng = random.Random(2024)
+        A = random_full_row_rank(rng, 10, 40, -50, 50)
+        tau = first_nonsingular_basis(A)
+        cert = sparsify(A, tau)
+        assert lattice_equal(A, A.take_columns([j - 1 for j in cert.gamma]))
+        assert calls == []
 
 
 @st.composite
@@ -242,3 +261,22 @@ class TestFirstNonsingularBasis:
     def test_no_basis(self):
         with pytest.raises(RankDeficient):
             first_nonsingular_basis(IntMatrix.from_rows([[1, 2], [2, 4]]))
+
+    def test_matches_the_subset_scan_on_dependent_columns(self):
+        # Columns from a rank-r span mixed with a few free columns, so
+        # that the scan must skip dependent columns and the matrix may
+        # lack full rank.
+        rng = random.Random(77)
+        for _ in range(150):
+            m = rng.randint(2, 5)
+            r = rng.randint(1, m)
+            span = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(r)]
+            cols = []
+            for _ in range(rng.randint(1, 5)):
+                coef = [rng.randint(-3, 3) for _ in range(r)]
+                cols.append([sum(c * v[i] for c, v in zip(coef, span)) for i in range(m)])
+            cols += [[rng.randint(-20, 20) for _ in range(m)] for _ in range(rng.randint(0, 4))]
+            rng.shuffle(cols)
+            A = IntMatrix.from_columns(cols)
+            expected = _outcome(first_nonsingular_basis_lex, A)
+            assert _outcome(first_nonsingular_basis, A) == expected
