@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     SingularBasis,
-    TooLargeForExhaustive,
 )
 from .intlinalg import (
     IntMatrix,
@@ -32,15 +31,12 @@ from .intlinalg import (
     det_exact,
     gcd_maximal_minors,
     hnf_basis,
-    lattice_equal,
     lattice_member,
 )
 from .numtheory import (
     Factorization,
     factorize,
     is_probable_prime,
-    omega,
-    omega_truncated,
     omega_truncated_upper,
 )
 from .oracle import icr_scan, min_support_exact
@@ -59,7 +55,6 @@ from .sparsify import (
     SparsifyCertificate,
     first_nonsingular_basis,
     sparsify,
-    verify_tightness,
     worst_case_instance,
 )
 
@@ -84,7 +79,6 @@ __all__ = [
     "SingularBasis",
     "SolutionReport",
     "SparsifyCertificate",
-    "TooLargeForExhaustive",
     "as_vector",
     "det_exact",
     "factorize",
@@ -94,11 +88,8 @@ __all__ = [
     "icr_scan",
     "is_probable_prime",
     "kernel_vector_pigeonhole",
-    "lattice_equal",
     "lattice_member",
     "min_support_exact",
-    "omega",
-    "omega_truncated",
     "omega_truncated_upper",
     "positively_spans",
     "reduce_knapsack_support",
@@ -108,6 +99,5 @@ __all__ = [
     "solve_sparse_lattice",
     "sparsify",
     "sparsity_bounds",
-    "verify_tightness",
     "worst_case_instance",
 ]

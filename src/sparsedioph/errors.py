@@ -29,10 +29,6 @@ class InvalidDelta(Error):
     """Worst-case instance generation needs a determinant target >= 2."""
 
 
-class TooLargeForExhaustive(Error):
-    """Instance exceeds the cap for exhaustive subset search."""
-
-
 class NotPositivelySpanning(Error):
     """The columns do not positively span the ambient space."""
 

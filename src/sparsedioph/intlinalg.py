@@ -5,16 +5,17 @@ floating point and no overflow. The central objects are dense row-major
 matrices (`IntMatrix`) and column-style Hermite normal forms. Canonical
 bases grow one column at a time (`_hnf_insert`, after Micciancio and
 Warinschi, ISSAC 2001): `hnf_basis` folds it over a column list, and its
-bases give rank, minor gcd and lattice equality. Only `lattice_member`
-runs the full elimination `_hnf`, letting identity rows ride along to
-record the transform it solves through. Determinants come from Bareiss
-elimination, which needs no gcds.
+bases give rank and minor gcd; equal bases mean equal lattices. Only
+`lattice_member` runs the full elimination `_hnf`, letting identity rows
+ride along to record the transform it solves through. Determinants come
+from Bareiss elimination, which needs no gcds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -116,9 +117,7 @@ class IntMatrix:
         vec = as_vector(v)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length differs from column count")
-        return tuple(
-            sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)
-        )
+        return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -296,11 +295,3 @@ def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     if any(residual[: A.rows]):
         return None
     return tuple(-v for v in residual[A.rows :])
-
-
-def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    """True iff A's and B's columns span the same lattice (same canonical
-    HNF basis)."""
-    if A.rows != B.rows:
-        raise DimensionMismatch("row counts differ")
-    return hnf_basis(A.to_columns(), A.rows) == hnf_basis(B.to_columns(), B.rows)

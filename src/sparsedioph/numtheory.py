@@ -1,8 +1,8 @@
 """Integer factorization and the prime counts the bounds are stated with.
 
 The lattice and semigroup bounds count prime factors with multiplicities
-capped at m (`omega_truncated`); the mixed-knapsack bound counts distinct
-primes (`omega`).
+capped at m (omega_truncated(z, m)); the mixed-knapsack bound counts
+distinct primes, which is the same count with m = 1.
 
 One private splitter serves every caller. It strips 2 and 3, trial-divides
 below 1000, and then works through a stack of cofactors: each one is
@@ -228,13 +228,6 @@ def factorize(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Fac
     return Factorization(tuple(sorted(counts.items())))
 
 
-def omega_truncated(z: int, m: int) -> int:
-    """Number of prime factors of z with multiplicities capped at m."""
-    if m < 1:
-        raise NonPositive(f"threshold must be >= 1, got {m}")
-    return sum(min(s, m) for _, s in factorize(z).factors)
-
-
 def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
     """Certified upper bound on omega_truncated(z, m), and whether it is exact.
 
@@ -260,8 +253,3 @@ def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
             unsplit += 1
     value = sum(min(s, m) for s in counts.values()) + unsplit
     return value, unsplit == 0
-
-
-def omega(z: int) -> int:
-    """Number of distinct prime factors of z."""
-    return len(factorize(z).factors)

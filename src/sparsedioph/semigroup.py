@@ -6,9 +6,12 @@ Three solving regimes live here, in decreasing generality:
   positively span R^m; the semigroup then coincides with the lattice, and
   a sparse lattice solution on gamma is pushed into the nonnegative
   orthant by one integer kernel vector, positive on gamma and nonzero on
-  at most m more columns, taken from a single phase-I LP.
+  at most m more columns, taken from a single phase-I LP. On one row both
+  steps have closed forms: gamma comes from suffix gcds, and the kernel
+  vector is the point that phase-I reaches in one pivot.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
-  it lifts from every singleton basis and keeps the sparsest result.
+  it lifts from every singleton basis in that closed form and keeps the
+  sparsest result.
 * `solve_knapsack_positive` is the all-positive single-row case: the
   bitset closure of the weights decides reachability, a walk back from b
   through it rebuilds one solution, and a pigeonhole-built kernel vector
@@ -146,12 +149,12 @@ def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[Sol
     Takes the sparse lattice solution x* supported on gamma and, when it
     has negative entries, adds the smallest multiple of one integer kernel
     vector that is positive on gamma and nonzero on at most m further
-    columns (one phase-I LP). The support stays within
-    |gamma| + m <= 2m + omega_truncated(delta, m).
+    columns (one phase-I LP, or its closed form when m = 1). The support
+    stays within |gamma| + m <= 2m + omega_truncated(delta, m).
     """
     if not positively_spans(A):
         raise NotPositivelySpanning("columns do not positively span R^m")
-    return _lift_posspan(A, b, tau)
+    return (_lift_row if A.rows == 1 else _lift_posspan)(A, b, tau)
 
 
 def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
@@ -165,12 +168,7 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionRepor
         kernel = _positive_kernel(A, cert.gamma)
         if kernel is None:
             raise AssertionError("columns fail to positively span")
-        # kernel >= 1 on gamma, which covers the support of x;
-        # ceil(-v / k) = -(v // k).
-        scale = max(-(v // k) for v, k in zip(x, kernel) if v < 0)
-        x = tuple(v + scale * k for v, k in zip(x, kernel))
-        if any(v < 0 for v in x) or A.mat_vec(x) != b:
-            raise AssertionError("kernel lift failed to produce a valid solution")
+        x = _add_kernel(A, b, x, kernel)
     return SolutionReport(
         x=x,
         support_size=support_size(x),
@@ -180,17 +178,84 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionRepor
     )
 
 
+def _add_kernel(A: IntMatrix, b: IntVector, x: IntVector, kernel: Sequence[int]) -> IntVector:
+    """x plus the smallest multiple of `kernel` that is nonnegative."""
+    # kernel >= 1 on gamma, which covers the support of x;
+    # ceil(-v / k) = -(v // k).
+    scale = max(-(v // k) for v, k in zip(x, kernel) if v < 0)
+    x = tuple(v + scale * k for v, k in zip(x, kernel))
+    if any(v < 0 for v in x) or A.mat_vec(x) != b:
+        raise AssertionError("kernel lift failed to produce a valid solution")
+    return x
+
+
+def _lift_row(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
+    """_lift_posspan for one row, in closed form: the same report.
+
+    The lattice of any columns is their gcd times Z, so `sparsify`'s drop
+    rule with tau = {i} reads: keep j iff the gcd of a_i, the columns kept
+    before j and all columns after j exceeds g = gcd(a). Phase-I Bland on
+    {z >= 0 : a.z = -S}, S the sum of a over gamma, enters the first column
+    e with a_e * S < 0 and stops after that one pivot at z = |S| e_e over
+    d = |a_e|, so the kernel vector is |a_e| 1_gamma + |S| e_e over its
+    content. S is never 0: the last column kept would then be minus the
+    sum of the others, and so in their lattice.
+    """
+    (i,), a_i = basis_det(A, tau)
+    a = A.row(0)
+    n = len(a)
+    after = [0] * (n + 1)  # after[j] = gcd(a[j:])
+    for j in range(n - 1, -1, -1):
+        after[j] = math.gcd(a[j], after[j + 1])
+    g = after[0]
+    kept = abs(a_i)
+    gamma = []
+    for j in range(n):
+        if j == i - 1 or math.gcd(kept, after[j + 1]) != g:
+            kept = math.gcd(kept, a[j])
+            gamma.append(j + 1)
+    omega_1, exact = omega_truncated_upper(abs(a_i) // g, 1)
+    if len(gamma) > 1 + omega_1:
+        raise AssertionError("non-redundant set exceeded the sparsity bound")
+    if kept != g:
+        raise AssertionError("kept columns changed the lattice")
+    b = as_vector(b)
+    x = solve_on_columns(A, b, gamma)
+    if x is None:
+        return None
+    if any(v < 0 for v in x):
+        S = sum(a[j - 1] for j in gamma)
+        e = next((j for j in range(n) if a[j] * S < 0), None)
+        if e is None:
+            raise AssertionError("columns fail to positively span")
+        kernel = [0] * n
+        for j in gamma:
+            kernel[j - 1] = abs(a[e])
+        kernel[e] += abs(S)
+        content = math.gcd(*kernel)
+        x = _add_kernel(A, b, x, [v // content for v in kernel])
+    return SolutionReport(
+        x=x,
+        support_size=support_size(x),
+        bound=2 + omega_1,
+        bound_name=BOUND_POSITIVE_SPAN,
+        bound_exact=exact,
+    )
+
+
 def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     """Sparse nonnegative solution of a.x = b when a has entries of both
     signs (and none zero); None iff gcd(a) does not divide b.
 
     A nonzero row with both signs positively spans R, so the
-    positively-spanning lift runs once per singleton basis {i} without
-    repeating the spanning LP, and the sparsest outcome is returned; ties
-    prefer the column whose omega(|a_i|/gcd) is smallest, then the
-    smallest index. The bound 2 + min omega(|a_i|/gcd) and the tie-break
-    use certified upper bounds on omega, which need no full factorization;
-    `bound_exact` is False when any of them may exceed the true value.
+    positively-spanning lift runs once per singleton basis {i}, with no
+    spanning test, no HNF and no LP: on one row its gamma comes from
+    suffix gcds and its kernel vector from a single Bland pivot. The
+    sparsest outcome is returned; ties prefer the column whose
+    omega(|a_i|/gcd) is smallest, then the smallest index. The bound
+    2 + min omega(|a_i|/gcd) and the tie-break use certified upper bounds
+    on omega, which need no full factorization; `bound_exact` is False
+    when any of them may exceed the true value.
     """
     a = as_vector(a)
     if any(v == 0 for v in a):
@@ -203,7 +268,7 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     A = IntMatrix.row_vector(a)
     # The lift on basis {i} reports bound 2 + omega_truncated_upper(|a_i|/g, 1),
     # a certified upper bound on 2 + omega(|a_i|/g), with its exactness.
-    reports = [_lift_posspan(A, (b,), (i,)) for i in range(1, len(a) + 1)]
+    reports = [_lift_row(A, (b,), (i,)) for i in range(1, len(a) + 1)]
     # min keeps the first of equal keys, so ties go to the smallest index.
     best = min(reports, key=lambda r: (r.support_size, r.bound))
     return SolutionReport(

@@ -11,8 +11,7 @@ by the minor gcd), multiplicities capped at m. The reported bound is the
 certified upper bound of `omega_truncated_upper`, which equals the
 right-hand side unless a factor of delta resists a short search; the
 certificate says which. The companion
-`worst_case_instance` builds matrices on which that inequality is tight,
-and `verify_tightness` certifies tightness by exhaustive subset search.
+`worst_case_instance` builds matrices on which that inequality is tight.
 
 Column indices in the public API are 1-based throughout.
 """
@@ -20,30 +19,14 @@ Column indices in the public API are 1-based throughout.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDelta,
-    RankDeficient,
-    SingularBasis,
-    TooLargeForExhaustive,
-)
-from .intlinalg import (
-    IntMatrix,
-    _hnf_insert,
-    det_exact,
-    gcd_maximal_minors,
-    hnf_basis,
-    lattice_equal,
-)
-from .numtheory import factorize, omega_truncated, omega_truncated_upper
+from .errors import DimensionMismatch, InvalidDelta, RankDeficient, SingularBasis
+from .intlinalg import IntMatrix, _hnf_insert, det_exact, hnf_basis
+from .numtheory import factorize, omega_truncated_upper
 
 IndexSet = tuple[int, ...]
-
-EXHAUSTIVE_COLUMN_CAP = 14
 
 
 def check_index_set(indices, n: int) -> IndexSet:
@@ -180,26 +163,3 @@ def worst_case_instance(m: int, delta: int) -> IntMatrix:
         for q in powers[i]:
             columns.append([diag[i] // q if k == i else 0 for k in range(m)])
     return IntMatrix.from_columns(columns)
-
-
-def verify_tightness(A: IntMatrix, tau, max_columns: int = EXHAUSTIVE_COLUMN_CAP) -> bool:
-    """Exhaustively check that the sparsification bound is met with equality.
-
-    Enumerates every superset of tau in increasing size and returns True
-    iff the smallest one spanning the full lattice has exactly the size
-    promised by the bound. Refuses instances wider than `max_columns`.
-    """
-    m, n = A.rows, A.cols
-    if n > max_columns:
-        raise TooLargeForExhaustive(f"{n} columns > cap {max_columns}")
-    tau, det_tau = basis_det(A, tau)
-    tau0 = [i - 1 for i in tau]
-    g = gcd_maximal_minors(A)
-    bound = m + omega_truncated(abs(det_tau) // g, m)
-    rest = [j for j in range(n) if j not in tau0]
-    for size in range(len(rest) + 1):
-        for subset in itertools.combinations(rest, size):
-            candidate = sorted(tau0 + list(subset))
-            if lattice_equal(A, A.take_columns(candidate)):
-                return m + size == bound
-    raise AssertionError("the full column set always spans the lattice")

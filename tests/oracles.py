@@ -21,6 +21,10 @@ same weight at every value, so the two must return the same report.
 The `icr_scan` that built every subset's closure from scratch is kept as
 the reference for the one that adds one weight to a closure one level
 down: both must return the same value or stop at the same work cap.
+The exact prime counts `omega_truncated` and `omega`, `lattice_equal` and
+the exhaustive tightness check `verify_tightness` serve only the tests'
+bound and lattice checks, so they live here; the package itself only
+needs the certified upper bound `omega_truncated_upper`.
 """
 
 import itertools
@@ -31,16 +35,17 @@ from typing import Optional, Sequence
 from sparsedioph import (
     CapExceeded,
     DimensionMismatch,
+    Error,
     IntMatrix,
     RankDeficient,
     SingularBasis,
     SparsifyCertificate,
     as_vector,
     det_exact,
+    factorize,
+    gcd_maximal_minors,
     hnf_basis,
-    lattice_equal,
     lattice_member,
-    omega_truncated,
     reduce_knapsack_support,
 )
 from sparsedioph.errors import NonPositive
@@ -52,7 +57,7 @@ from sparsedioph.numtheory import (
     is_probable_prime,
 )
 from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset
-from sparsedioph.sparsify import check_index_set
+from sparsedioph.sparsify import basis_det, check_index_set
 
 
 def perm_det(rows) -> int:
@@ -89,6 +94,56 @@ def minors_gcd(A: IntMatrix) -> int:
         sub = [[rows[i][j] for j in combo] for i in range(m)]
         g = math.gcd(g, perm_det(sub))
     return g
+
+
+def omega_truncated(z: int, m: int) -> int:
+    """Number of prime factors of z with multiplicities capped at m."""
+    if m < 1:
+        raise NonPositive(f"threshold must be >= 1, got {m}")
+    return sum(min(s, m) for _, s in factorize(z).factors)
+
+
+def omega(z: int) -> int:
+    """Number of distinct prime factors of z."""
+    return len(factorize(z).factors)
+
+
+def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
+    """True iff A's and B's columns span the same lattice (same canonical
+    HNF basis)."""
+    if A.rows != B.rows:
+        raise DimensionMismatch("row counts differ")
+    return hnf_basis(A.to_columns(), A.rows) == hnf_basis(B.to_columns(), B.rows)
+
+
+EXHAUSTIVE_COLUMN_CAP = 14
+
+
+class TooLargeForExhaustive(Error):
+    """Instance exceeds the cap for exhaustive subset search."""
+
+
+def verify_tightness(A: IntMatrix, tau, max_columns: int = EXHAUSTIVE_COLUMN_CAP) -> bool:
+    """Exhaustively check that the sparsification bound is met with equality.
+
+    Enumerates every superset of tau in increasing size and returns True
+    iff the smallest one spanning the full lattice has exactly the size
+    promised by the bound. Refuses instances wider than `max_columns`.
+    """
+    m, n = A.rows, A.cols
+    if n > max_columns:
+        raise TooLargeForExhaustive(f"{n} columns > cap {max_columns}")
+    tau, det_tau = basis_det(A, tau)
+    tau0 = [i - 1 for i in tau]
+    g = gcd_maximal_minors(A)
+    bound = m + omega_truncated(abs(det_tau) // g, m)
+    rest = [j for j in range(n) if j not in tau0]
+    for size in range(len(rest) + 1):
+        for subset in itertools.combinations(rest, size):
+            candidate = sorted(tau0 + list(subset))
+            if lattice_equal(A, A.take_columns(candidate)):
+                return m + size == bound
+    raise AssertionError("the full column set always spans the lattice")
 
 
 def trial_factorize(z: int) -> list[tuple[int, int]]:

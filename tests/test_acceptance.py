@@ -15,25 +15,25 @@ from sparsedioph import (
     det_exact,
     gcd_maximal_minors,
     icr_scan,
-    lattice_equal,
     min_support_exact,
-    omega,
-    omega_truncated,
     reduce_knapsack_support,
     solve_knapsack_mixed,
     solve_knapsack_positive,
     sparsify,
     sparsity_bounds,
-    verify_tightness,
     worst_case_instance,
 )
 from oracles import (
     knapsack_min_support_dfs,
+    lattice_equal,
     minors_gcd,
+    omega,
+    omega_truncated,
     primary_summands,
     random_full_row_rank,
     random_matrix,
     random_nonsingular_tau,
+    verify_tightness,
 )
 
 

@@ -56,6 +56,18 @@ CASES = {
     "solve-semigroup-lifted": (
         ["solve-semigroup", "--matrix", "3 -2 0; 0 -2 5", "--rhs", "7 1"], {}, {}),
     "knapsack-mixed-unsplit": (["knapsack", "--mixed", "--a", BIG_MIXED, "--b", "1"], {}, {}),
+    "knapsack-mixed-twelve-weights": (
+        ["knapsack", "--mixed", "--a", "391 -221 1001 -4199 35 714 -95 2431 -646 187 -1105 858",
+         "--b", "4"], {}, {}),
+    # One-row lifts: the kernel vector's extra column lies outside gamma,
+    # gamma is the basis column alone, and a zero column sits beside the
+    # basis the user chose.
+    "solve-semigroup-one-row-entering-outside-gamma": (
+        ["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2", "--tau", "1"], {}, {}),
+    "solve-semigroup-one-row-singleton-gamma": (
+        ["solve-semigroup", "--matrix", "2 -4", "--rhs", "-2", "--tau", "1"], {}, {}),
+    "solve-semigroup-one-row-zero-column": (
+        ["solve-semigroup", "--matrix", "6 0 -10 15", "--rhs", "-7", "--tau", "3"], {}, {}),
     "bounds-two-rows": (["bounds", "--matrix", "2 0 4; 0 2 2"], {}, {}),
     "bounds-extreme-ray": (["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "3"], {}, {}),
     "bounds-mixed-row": (["bounds", "--matrix", "3 -5"], {}, {}),
@@ -90,6 +102,8 @@ CASES = {
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}, {}),
     "solve-semigroup-not-spanning": (["solve-semigroup", "--matrix", "1 2 3", "--rhs", "6"],
                                      {}, {}),
+    "solve-semigroup-one-row-zero-tau": (
+        ["solve-semigroup", "--matrix", "6 0 -10 15", "--rhs", "-7", "--tau", "2"], {}, {}),
     "knapsack-bad-env": (["knapsack", "--positive", "--a", "2 3", "--b", "5"],
                          {"SPARSEDIOPH_B_CAP": "ten"}, {}),
     "knapsack-negative-cap-flag": (

@@ -11,11 +11,10 @@ from sparsedioph import (
     det_exact,
     gcd_maximal_minors,
     hnf_basis,
-    lattice_equal,
     lattice_member,
 )
 from sparsedioph import intlinalg
-from oracles import minors_gcd, perm_det, random_full_row_rank, random_matrix
+from oracles import lattice_equal, minors_gcd, perm_det, random_full_row_rank, random_matrix
 
 
 class TestIntMatrix:

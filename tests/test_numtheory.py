@@ -18,11 +18,16 @@ from sparsedioph import (
     factorize,
     is_probable_prime,
     numtheory,
-    omega,
-    omega_truncated,
     omega_truncated_upper,
 )
-from oracles import factorize_trial_first, primary_summands, random_matrix, trial_factorize
+from oracles import (
+    factorize_trial_first,
+    omega,
+    omega_truncated,
+    primary_summands,
+    random_matrix,
+    trial_factorize,
+)
 
 
 def next_prime(n: int) -> int:

@@ -23,8 +23,6 @@ from sparsedioph import (
     gcd_maximal_minors,
     kernel_vector_pigeonhole,
     min_support_exact,
-    omega,
-    omega_truncated,
     positively_spans,
     reduce_knapsack_support,
     solve_knapsack_mixed,
@@ -38,12 +36,15 @@ from oracles import (
     basic_feasible_point_fraction,
     knapsack_min_support_dfs,
     minors_gcd,
+    omega,
+    omega_truncated,
     perm_det,
     pointed_cone_bound_enumerated,
     solve_knapsack_positive_dp,
 )
 
 semigroup = importlib.import_module("sparsedioph.semigroup")
+intlinalg = importlib.import_module("sparsedioph.intlinalg")
 
 
 @pytest.fixture
@@ -200,6 +201,21 @@ class TestSolveSemigroupPosspan:
             assert lp_calls[0] <= 2
             lifted += lp_calls[0] == 2
         assert lifted > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_row_lift_equals_the_general_lift(self, data):
+        # The closed form against sparsify plus the phase-I LP, on every
+        # singleton basis: all five report fields agree.
+        entry = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10**12, 10**12))
+        a = data.draw(st.lists(entry, min_size=2, max_size=8))
+        assume(min(a) < 0 < max(a))
+        A = IntMatrix.row_vector(a)
+        b = math.gcd(*a) * data.draw(st.integers(-10**6, 10**6))
+        for i in range(1, len(a) + 1):
+            if a[i - 1] != 0:
+                general = semigroup._lift_posspan(A, (b,), (i,))
+                assert semigroup._lift_row(A, (b,), (i,)) == general
 
     @settings(max_examples=150, deadline=None)
     @given(spanning_instances())
@@ -472,6 +488,8 @@ class TestSolveKnapsackMixed:
         assert report.bound_exact is False
 
     def test_at_most_one_lp_per_singleton_basis(self, lp_calls):
+        # Each lift's kernel vector is the LP's point in closed form, so
+        # no LP runs at all.
         rng = random.Random(67)
         for _ in range(40):
             n = rng.randint(2, 8)
@@ -480,7 +498,26 @@ class TestSolveKnapsackMixed:
             rng.shuffle(a)
             lp_calls[0] = 0
             solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60))
-            assert lp_calls[0] <= n
+            assert lp_calls[0] == 0
+
+    def test_no_hnf_insert(self, monkeypatch):
+        # gamma comes from suffix gcds; no canonical basis is built.
+        calls = [0]
+        true_insert = intlinalg._hnf_insert
+
+        def counting(basis, v):
+            calls[0] += 1
+            return true_insert(basis, v)
+
+        for module in (intlinalg, importlib.import_module("sparsedioph.sparsify")):
+            monkeypatch.setattr(module, "_hnf_insert", counting)
+        rng = random.Random(71)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            a = [rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(n)]
+            a[0], a[-1] = -abs(a[0]), abs(a[-1])
+            assert solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60)) is not None
+        assert calls[0] == 0
 
     def test_one_omega_bound_per_singleton_basis(self, monkeypatch):
         # The bound and the tie-break come from the n lifts' own reports.

@@ -13,21 +13,21 @@ from sparsedioph import (
     InvalidDelta,
     RankDeficient,
     SingularBasis,
-    TooLargeForExhaustive,
     det_exact,
     first_nonsingular_basis,
     gcd_maximal_minors,
-    lattice_equal,
-    omega_truncated,
     sparsify,
-    verify_tightness,
     worst_case_instance,
 )
 from oracles import (
+    TooLargeForExhaustive,
     first_nonsingular_basis_lex,
+    lattice_equal,
+    omega_truncated,
     random_full_row_rank,
     random_nonsingular_tau,
     sparsify_membership_greedy,
+    verify_tightness,
 )
 
 
