@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .diophsolve import SolutionReport, solve_sparse_lattice
+from .diophsolve import SolutionReport, _lattice_report, solve_sparse_lattice
 from .errors import CapExceeded, Error, ParseError
 from .fileio import (
     format_matrix,
@@ -32,7 +32,7 @@ from .fileio import (
     parse_matrix_text,
     parse_vector_text,
 )
-from .intlinalg import IntMatrix, _hnf_insert, hnf_basis
+from .intlinalg import IntMatrix, _in_lattice, hnf_basis
 from .numtheory import factorize
 from .oracle import DEFAULT_COORD_CAP, icr_scan, min_support_exact
 from .semigroup import (
@@ -42,7 +42,7 @@ from .semigroup import (
     solve_semigroup_posspan,
     sparsity_bounds,
 )
-from .sparsify import first_nonsingular_basis, sparsify, worst_case_instance
+from .sparsify import _greedy_basis, _sparsify, sparsify, worst_case_instance
 
 B_CAP_ENV = "SPARSEDIOPH_B_CAP"
 
@@ -111,9 +111,12 @@ def _load_rhs(args):
 
 
 def _tau_or_default(args, A: IntMatrix):
+    """tau and, for the default tau, the canonical basis of its columns,
+    which the scan that picks it builds; None with --tau, whose indices
+    the solvers validate."""
     if args.tau is not None:
-        return parse_inline_vector(args.tau, source="--tau")
-    return first_nonsingular_basis(A)
+        return parse_inline_vector(args.tau, source="--tau"), None
+    return _greedy_basis(A)
 
 
 def _report(doc: dict, A: IntMatrix, b, report: SolutionReport | None) -> None:
@@ -217,9 +220,9 @@ def _parser() -> _Parser:
 
 def _cmd_sparsify(args, doc):
     A = _load_matrix(args)
-    tau = _tau_or_default(args, A)
+    tau, basis = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
-    cert = sparsify(A, tau)
+    cert = sparsify(A, tau) if basis is None else _sparsify(A, tau, basis)
     doc["status"] = "solved"
     doc["result"] = {
         "gamma": _vec(cert.gamma),
@@ -230,11 +233,11 @@ def _cmd_sparsify(args, doc):
     if not cert.bound_exact:
         doc["result"]["bound_exact"] = False
     # Recheck here, whatever sparsify did, that gamma spans the lattice of
-    # A: the HNF basis of gamma's columns is that of all columns.
+    # A: every other column lies in the lattice of gamma's HNF basis.
     columns = A.to_columns()
     kept = hnf_basis([columns[j - 1] for j in cert.gamma], A.rows)
-    others = [col for j, col in enumerate(columns, 1) if j not in cert.gamma]
-    if functools.reduce(_hnf_insert, others, kept) != kept:
+    others = (col for j, col in enumerate(columns, 1) if j not in cert.gamma)
+    if not all(_in_lattice(kept, col) for col in others):
         raise AssertionError("sparsify returned columns that change the lattice")
     doc["verified"] = {"lattice_fingerprint_match": True}
 
@@ -242,12 +245,14 @@ def _cmd_sparsify(args, doc):
 def _cmd_solve(args, doc):
     A = _load_matrix(args)
     b = _load_rhs(args)
-    tau = _tau_or_default(args, A)
+    tau, basis = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b), "tau": _vec(tau)}
     if args.command == "solve-semigroup":
         report = solve_semigroup_posspan(A, b, tau)
-    else:
+    elif basis is None:
         report = solve_sparse_lattice(A, b, tau)
+    else:
+        report = _lattice_report(A, b, _sparsify(A, tau, basis))
     _report(doc, A, b, report)
 
 
@@ -276,7 +281,7 @@ def _cmd_knapsack(args, doc):
 
 def _cmd_bounds(args, doc):
     A = _load_matrix(args)
-    tau = _tau_or_default(args, A)
+    tau, _ = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
     report = sparsity_bounds(A, tau, extreme_ray_index=args.extreme_ray)
 

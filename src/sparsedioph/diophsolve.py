@@ -60,9 +60,14 @@ def solve_sparse_lattice(
     set gamma for the basis tau, hence bounded by
     m + omega_truncated(delta, m).
     """
-    cert: SparsifyCertificate = sparsify(A, tau)
-    b = as_vector(b)
-    x = solve_on_columns(A, b, cert.gamma)
+    return _lattice_report(A, b, sparsify(A, tau))
+
+
+def _lattice_report(
+    A: IntMatrix, b: Sequence[int], cert: SparsifyCertificate
+) -> Optional[SolutionReport]:
+    # solve_sparse_lattice after its sparsify step.
+    x = solve_on_columns(A, as_vector(b), cert.gamma)
     if x is None:
         return None
     return SolutionReport(

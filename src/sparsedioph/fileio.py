@@ -14,6 +14,8 @@ from .intlinalg import IntMatrix, IntVector
 
 
 def _tokenize_line(line: str, lineno: int, source: str):
+    """(value, 1-based column) of each whitespace-separated integer;
+    raises ParseError naming the first token that is not one."""
     out = []
     for match in re.finditer(r"\S+", line):
         token, column = match.group(), match.start() + 1
@@ -22,6 +24,16 @@ def _tokenize_line(line: str, lineno: int, source: str):
         except ValueError:
             raise ParseError(f"expected an integer, got {token!r}", lineno, column, source)
     return out
+
+
+def _ints(line: str, lineno: int, source: str) -> list[int]:
+    """The integers of one line. `str.split` cuts it at the same whitespace
+    as `_tokenize_line`, which only a line with a bad token reaches: it
+    raises the ParseError that names the token."""
+    try:
+        return [int(t, 10) for t in line.split()]
+    except ValueError:
+        return [v for v, _ in _tokenize_line(line, lineno, source)]
 
 
 def parse_matrix_text(text: str, source: str = "<input>") -> IntMatrix:
@@ -42,16 +54,17 @@ def parse_matrix_text(text: str, source: str = "<input>") -> IntMatrix:
             lineno += 1
         if lineno > len(lines):
             raise ParseError(f"expected {m} rows, found {i}", lineno, 1, source)
-        tokens = _tokenize_line(lines[lineno - 1], lineno, source)
-        if len(tokens) != n:
+        row = _ints(lines[lineno - 1], lineno, source)
+        if len(row) != n:
+            tokens = _tokenize_line(lines[lineno - 1], lineno, source)
             column = tokens[-1][1] if tokens else 1
             raise ParseError(
-                f"row {i + 1} has {len(tokens)} entries, expected {n}",
+                f"row {i + 1} has {len(row)} entries, expected {n}",
                 lineno,
                 column,
                 source,
             )
-        rows.append([v for v, _ in tokens])
+        rows.append(row)
     return IntMatrix.from_rows(rows)
 
 
@@ -61,21 +74,21 @@ def parse_vector_text(text: str, source: str = "<input>") -> IntVector:
         raise ParseError("empty vector", 1, 1, source)
     if len(lines) > 1:
         raise ParseError("vector files hold a single line", 2, 1, source)
-    return tuple(v for v, _ in _tokenize_line(lines[0], 1, source))
+    return tuple(_ints(lines[0], 1, source))
 
 
 def parse_inline_vector(text: str, source: str = "<arg>") -> IntVector:
-    return tuple(v for v, _ in _tokenize_line(text, 1, source))
+    return tuple(_ints(text, 1, source))
 
 
 def parse_inline_matrix(text: str, source: str = "<arg>") -> IntMatrix:
     """Inline matrix: rows separated by `;`, entries by whitespace."""
     rows = []
     for lineno, part in enumerate(text.split(";"), start=1):
-        tokens = _tokenize_line(part, lineno, source)
-        if not tokens:
+        row = _ints(part, lineno, source)
+        if not row:
             raise ParseError("empty matrix row", lineno, 1, source)
-        rows.append([v for v, _ in tokens])
+        rows.append(row)
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("rows have unequal lengths", 1, 1, source)
     return IntMatrix.from_rows(rows)

@@ -5,10 +5,13 @@ floating point and no overflow. The central objects are dense row-major
 matrices (`IntMatrix`) and column-style Hermite normal forms. Canonical
 bases grow one column at a time (`_hnf_insert`, after Micciancio and
 Warinschi, ISSAC 2001): `hnf_basis` folds it over a column list, and its
-bases give rank and minor gcd; equal bases mean equal lattices. Only
+bases give rank and minor gcd; equal bases mean equal lattices, and
+`_in_lattice` tests a vector against one by exact division. Only
 `lattice_member` runs the full elimination `_hnf`, letting identity rows
-ride along to record the transform it solves through. Determinants come
-from Bareiss elimination, which needs no gcds.
+ride along to record the transform it solves through. A lattice's
+determinant is the diagonal product of its canonical basis
+(`_lattice_det`); other determinants come from Bareiss elimination,
+which needs no gcds.
 """
 
 from __future__ import annotations
@@ -257,6 +260,34 @@ def hnf_basis(columns: Iterable[Sequence[int]], m: int) -> list[IntVector]:
     return functools.reduce(_hnf_insert, columns, [])
 
 
+def _lattice_det(basis: Sequence[IntVector]) -> int:
+    """Determinant of the lattice of a full-rank canonical basis: the
+    product of its diagonal."""
+    return math.prod(col[i] for i, col in enumerate(basis))
+
+
+def _in_lattice(basis: Sequence[IntVector], v: Sequence[int]) -> bool:
+    """Whether v lies in the lattice of the canonical `basis` (of any rank).
+
+    Forward substitution, row by row: in a pivot row, v's entry must be an
+    exact multiple q of the pivot, and v loses q times that column; a
+    nonzero entry in a row where no column pivots puts v outside.
+    """
+    v, k = list(v), 0
+    for i in range(len(v)):
+        if k < len(basis) and basis[k][i]:
+            col = basis[k]
+            q, r = divmod(v[i], col[i])
+            if r:
+                return False
+            if q:
+                v = [x - q * y for x, y in zip(v, col)]
+            k += 1
+        elif v[i]:
+            return False
+    return True
+
+
 def gcd_maximal_minors(A: IntMatrix) -> int:
     """gcd of all m x m minors of a full-row-rank m x n matrix.
 
@@ -266,7 +297,7 @@ def gcd_maximal_minors(A: IntMatrix) -> int:
     basis = hnf_basis(A.to_columns(), A.rows)
     if len(basis) < A.rows:
         raise RankDeficient(f"rank {len(basis)} < row count {A.rows}")
-    return math.prod(col[j] for j, col in enumerate(basis))
+    return _lattice_det(basis)
 
 
 def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:

@@ -23,6 +23,7 @@ instance, exactly, for reporting and comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,18 +45,12 @@ from .errors import (
     NonPositive,
     NotPositivelySpanning,
     RankDeficient,
+    SingularBasis,
 )
 from .exactlp import basic_feasible_point
-from .intlinalg import (
-    IntMatrix,
-    IntVector,
-    as_vector,
-    det_exact,
-    gcd_maximal_minors,
-    hnf_basis,
-)
+from .intlinalg import IntMatrix, IntVector, _hnf_insert, _lattice_det, as_vector, det_exact
 from .numtheory import omega_truncated_upper
-from .sparsify import basis_det, first_nonsingular_basis, sparsify
+from .sparsify import _basis_indices, _greedy_basis, _tau_basis, sparsify
 
 DEFAULT_B_CAP = 10**7
 
@@ -133,11 +128,17 @@ def positively_spans(A: IntMatrix) -> bool:
     """Whether the columns of A positively span all of R^m.
 
     Equivalent to: A has full row rank and some rational y >= 1 satisfies
-    A y = 0. Decided by exact phase-I simplex.
+    A y = 0. One row does iff it has entries of both signs. Otherwise the
+    greedy basis scan, which stops at rank m, tests the rank, and exact
+    phase-I simplex decides whether y exists.
     """
     if A.cols == 0:
         return False
-    if len(hnf_basis(A.to_columns(), A.rows)) < A.rows:
+    if A.rows == 1:
+        return min(A.row(0)) < 0 < max(A.row(0))
+    try:
+        _greedy_basis(A)
+    except RankDeficient:
         return False
     return _positive_kernel(A, range(1, A.cols + 1)) is not None
 
@@ -201,7 +202,11 @@ def _lift_row(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
     content. S is never 0: the last column kept would then be minus the
     sum of the others, and so in their lattice.
     """
-    (i,), a_i = basis_det(A, tau)
+    tau = _basis_indices(A, tau)
+    (i,) = tau
+    a_i = A.at(0, i - 1)
+    if a_i == 0:
+        raise SingularBasis(f"columns {tau} are linearly dependent")
     a = A.row(0)
     n = len(a)
     after = [0] * (n + 1)  # after[j] = gcd(a[j:])
@@ -449,15 +454,24 @@ def sparsity_bounds(
     m, n = A.rows, A.cols
     if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
         raise DimensionMismatch(f"extreme ray index {extreme_ray_index} is outside 1..{n}")
+    # The scan tests the rank before tau is looked at, and its basis
+    # serves tau when tau is the default.
     try:
-        g = gcd_maximal_minors(A)
+        first, basis = _greedy_basis(A)
     except RankDeficient:
         raise RankDeficient("bounds need a full-row-rank matrix") from None
+    tau = first if tau is None else _basis_indices(A, tau)
+    if tau != first:
+        basis = _tau_basis(A, tau)[1]
+    # The canonical basis of all columns, grown from tau's: g is its
+    # determinant and |det(A_tau)| that of tau's basis.
+    full = functools.reduce(
+        _hnf_insert, (A.column(j) for j in range(n) if j + 1 not in tau), basis
+    )
+    g = _lattice_det(full)
     gram_det = det_exact(A.matmul(A.transpose()))
     adno = m + _floor_log2_sqrt(gram_det // (g * g))
-    if tau is None:
-        tau = first_nonsingular_basis(A)
-    delta = abs(basis_det(A, tau)[1]) // g
+    delta = _lattice_det(basis) // g
     omega_m, thm1_exact = omega_truncated_upper(delta, m)
 
     knapsack = None

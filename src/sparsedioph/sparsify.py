@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidDelta, RankDeficient, SingularBasis
-from .intlinalg import IntMatrix, _hnf_insert, det_exact, hnf_basis
+from .intlinalg import IntMatrix, IntVector, _hnf_insert, _lattice_det, hnf_basis
 from .numtheory import factorize, omega_truncated_upper
 
 IndexSet = tuple[int, ...]
@@ -56,19 +56,26 @@ class SparsifyCertificate:
     bound_exact: bool = True
 
 
-def basis_det(A: IntMatrix, tau) -> tuple[IndexSet, int]:
-    """Validated basis tau of m column indices and det(A_tau), never 0.
-
-    Raises DimensionMismatch unless tau is a strictly increasing set of m
-    indices in 1..n, and SingularBasis when its columns are dependent.
-    """
+def _basis_indices(A: IntMatrix, tau) -> IndexSet:
+    """tau validated as a strictly increasing set of m indices in 1..n;
+    raises DimensionMismatch otherwise."""
     tau = check_index_set(tau, A.cols)
     if len(tau) != A.rows:
         raise DimensionMismatch(f"basis needs {A.rows} indices, got {len(tau)}")
-    det_tau = det_exact(A.take_columns([i - 1 for i in tau]))
-    if det_tau == 0:
+    return tau
+
+
+def _tau_basis(A: IntMatrix, tau) -> tuple[IndexSet, list[IntVector]]:
+    """Validated basis tau and the canonical basis of its columns.
+
+    Raises DimensionMismatch as `_basis_indices` does, and SingularBasis
+    when the columns of tau are dependent.
+    """
+    tau = _basis_indices(A, tau)
+    basis = hnf_basis((A.column(i - 1) for i in tau), A.rows)
+    if len(basis) < A.rows:
         raise SingularBasis(f"columns {tau} are linearly dependent")
-    return tau, det_tau
+    return tau, basis
 
 
 def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
@@ -79,6 +86,12 @@ def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
     index order and keep each column that raises the rank of the columns
     kept before it.
     """
+    return _greedy_basis(A)[0]
+
+
+def _greedy_basis(A: IntMatrix) -> tuple[IndexSet, list[IntVector]]:
+    """`first_nonsingular_basis` and the canonical basis of its columns,
+    which the scan has built on the way."""
     m = A.rows
     kept: list[int] = []
     basis: list[tuple[int, ...]] = []
@@ -91,7 +104,7 @@ def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
             basis = grown
     if len(basis) < m:
         raise RankDeficient("no nonsingular column basis exists")
-    return tuple(kept)
+    return tuple(kept), basis
 
 
 def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
@@ -103,24 +116,35 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     columns still span the lattice of A; the surviving set is therefore
     non-redundant. Those columns lie in the lattice of A, so the test is
     whether their canonical HNF basis equals that of A. A backward pass
-    stores the HNF basis of tau plus each suffix of the other columns; its
-    last step is the basis of A, which gives gcd(A). A forward pass merges
-    each stored basis with the columns kept so far. Every stored basis
-    spans a lattice containing that of A_tau, so its entries stay below
-    |det(A_tau)|.
+    grows the canonical basis of tau's columns by each suffix of the other
+    columns and stores every step; its last step is the basis of A, which
+    gives gcd(A). A forward pass merges each stored basis with the columns
+    kept so far. Every stored basis spans a lattice containing that of
+    A_tau, so its entries stay below |det(A_tau)|.
+
+    |det(A_tau)| is the product of the diagonal of tau's canonical basis,
+    which is lower triangular with positive pivots; no determinant is
+    computed separately. Raises DimensionMismatch unless tau is a strictly
+    increasing set of m indices in 1..n, and SingularBasis when its
+    columns are dependent.
     """
+    return _sparsify(A, *_tau_basis(A, tau))
+
+
+def _sparsify(A: IntMatrix, tau: IndexSet, basis: list[IntVector]) -> SparsifyCertificate:
+    # sparsify for a validated tau whose columns have the canonical basis
+    # `basis`.
     m, n = A.rows, A.cols
-    tau, det_tau = basis_det(A, tau)
     tau0 = [i - 1 for i in tau]
     columns = A.to_columns()
     rest = [j for j in range(n) if j not in tau0]
     # suffix[k] is the basis of tau plus rest[k:].
-    suffix = [hnf_basis([columns[j] for j in tau0], m)]
+    suffix = [basis]
     for j in reversed(rest):
         suffix.append(_hnf_insert(suffix[-1], columns[j]))
     suffix.reverse()
     full = suffix[0]
-    delta = abs(det_tau) // math.prod(col[i] for i, col in enumerate(full))
+    delta = _lattice_det(basis) // _lattice_det(full)
     kept: list[int] = []
     for k, j in enumerate(rest):
         if functools.reduce(_hnf_insert, (columns[i] for i in kept), suffix[k + 1]) != full:

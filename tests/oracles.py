@@ -57,7 +57,7 @@ from sparsedioph.numtheory import (
     is_probable_prime,
 )
 from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset
-from sparsedioph.sparsify import basis_det, check_index_set
+from sparsedioph.sparsify import check_index_set
 
 
 def perm_det(rows) -> int:
@@ -114,6 +114,22 @@ def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
     if A.rows != B.rows:
         raise DimensionMismatch("row counts differ")
     return hnf_basis(A.to_columns(), A.rows) == hnf_basis(B.to_columns(), B.rows)
+
+
+def basis_det(A: IntMatrix, tau):
+    """Validated basis tau of m column indices and det(A_tau), never 0, by
+    Bareiss elimination on the columns of tau.
+
+    Raises DimensionMismatch unless tau is a strictly increasing set of m
+    indices in 1..n, and SingularBasis when its columns are dependent.
+    """
+    tau = check_index_set(tau, A.cols)
+    if len(tau) != A.rows:
+        raise DimensionMismatch(f"basis needs {A.rows} indices, got {len(tau)}")
+    det_tau = det_exact(A.take_columns([i - 1 for i in tau]))
+    if det_tau == 0:
+        raise SingularBasis(f"columns {tau} are linearly dependent")
+    return tau, det_tau
 
 
 EXHAUSTIVE_COLUMN_CAP = 14

@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import json
 import sys
 import time
 
-from sparsedioph import cli, oracle
+import pytest
+
+from sparsedioph import cli, exactlp, intlinalg, oracle
 from sparsedioph.cli import run
 
 # Two primes just above 2^45. Their product is the basis determinant of
@@ -334,6 +337,10 @@ def test_bounds_tau_is_validated():
     code, out, err = invoke(["bounds", "--matrix", "1 2 3;2 4 5", "--tau", "1"])
     assert (code, out) == (1, "")
     assert err == "error: DimensionMismatch: basis needs 2 indices, got 1\n"
+    # A rank below m is reported before any fault of tau.
+    code, out, err = invoke(["bounds", "--matrix", "1 2 3;2 4 6", "--tau", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: RankDeficient: bounds need a full-row-rank matrix\n"
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
@@ -353,3 +360,78 @@ def test_parser_is_built_once_per_process(monkeypatch):
     assert invoke(["factor", "360"]) == (0, "2^3 * 3^2 * 5\n", "")
     assert len(built) == 1
     assert build() is not build()
+
+
+def count_calls(monkeypatch, module, name, record):
+    """Call record(*args) before each call of `module.name`, in every
+    sparsedioph module that imported it by name."""
+    true = getattr(module, name)
+
+    def counting(*args):
+        record(*args)
+        return true(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sparsedioph") and getattr(mod, name, None) is true:
+            monkeypatch.setattr(mod, name, counting)
+
+
+@pytest.mark.parametrize(
+    "argv, bases",
+    [
+        # The scan's basis of the default tau, and the recheck's of gamma.
+        (["sparsify", "--matrix", "4 6 9 15 10; 2 0 3 5 7"], 2),
+        (["solve-dioph", "--matrix", "4 6 9 15 10; 2 0 3 5 7", "--rhs", "3 5"], 1),
+    ],
+)
+def test_default_tau_basis_is_built_once(monkeypatch, argv, bases):
+    # A basis built from scratch starts with an insert into the empty
+    # basis; |det A_tau| comes off the diagonal of tau's basis.
+    sizes, dets = [], []
+    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: sizes.append(len(basis)))
+    count_calls(monkeypatch, intlinalg, "det_exact", dets.append)
+    code, _, _ = invoke(argv)
+    assert code == 0
+    assert (sizes.count(0), dets) == (bases, [])
+
+
+def test_recheck_inserts_gamma_only(monkeypatch):
+    # The recheck builds gamma's basis and tests every other column
+    # against it by exact division, without inserting it.
+    A = intlinalg.IntMatrix.from_rows([[4, 6, 9, 15, 10], [2, 0, 3, 5, 7]])
+    cert = cli.sparsify(A, (1, 2))
+    monkeypatch.setattr(cli, "sparsify", lambda A, tau: cert)
+    inserts, tested = [], []
+    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
+    count_calls(monkeypatch, intlinalg, "_in_lattice", lambda basis, v: tested.append(v))
+    code, _, _ = invoke(["sparsify", "--matrix", "4 6 9 15 10; 2 0 3 5 7", "--tau", "1 2"])
+    assert code == 0
+    assert len(cert.gamma) < A.cols
+    assert (len(inserts), len(tested)) == (len(cert.gamma), A.cols - len(cert.gamma))
+
+
+@pytest.mark.parametrize("tau", [[], ["--tau", "1"]])
+def test_recheck_catches_a_dropped_column(monkeypatch, tau):
+    # All three columns of 6 10 15 are needed; without the last one the
+    # rest span 2Z.
+    def dropping(true):
+        def drop(*args):
+            cert = true(*args)
+            return dataclasses.replace(cert, gamma=cert.gamma[:-1])
+
+        return drop
+
+    monkeypatch.setattr(cli, "sparsify", dropping(cli.sparsify))
+    monkeypatch.setattr(cli, "_sparsify", dropping(cli._sparsify))
+    with pytest.raises(AssertionError, match="sparsify returned columns that change the lattice"):
+        invoke(["sparsify", "--matrix", "6 10 15", *tau])
+
+
+def test_one_row_spanning_test_needs_no_basis_and_no_lp(monkeypatch):
+    inserts, lps = [], []
+    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
+    count_calls(monkeypatch, exactlp, "basic_feasible_point", lambda rows, rhs: lps.append(rhs))
+    code, out, _ = invoke(["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2", "--tau", "1"])
+    assert code == 0
+    assert "status = solved" in out
+    assert (inserts, lps) == ([], [])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsedioph import (
@@ -159,6 +159,27 @@ class TestHnfInsert:
         assert basis == [(2, 5, 1), (0, 0, 3)]
         assert intlinalg._hnf_insert(basis, [0, 4, 1]) == [(2, 1, 0), (0, 4, 1), (0, 0, 3)]
         assert intlinalg._hnf_insert(basis, [4, 10, 2]) == basis
+
+
+class TestInLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(column_lists(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_agrees_with_an_insert_that_leaves_the_basis(self, case, coeffs):
+        # v is an integer combination of the columns or an arbitrary
+        # vector; it lies in the lattice iff inserting it changes nothing.
+        m, cols = case
+        assume(cols)
+        basis = hnf_basis(cols[:-1], m)
+        for v in (cols[-1], [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]):
+            assert intlinalg._in_lattice(basis, v) == (intlinalg._hnf_insert(basis, v) == basis)
+
+    def test_examples(self):
+        basis = hnf_basis([[2, 5, 7], [0, 0, 3]], 3)
+        assert intlinalg._in_lattice(basis, [4, 10, 17])
+        assert not intlinalg._in_lattice(basis, [4, 10, 16])
+        assert not intlinalg._in_lattice(basis, [0, 4, 1])
+        assert intlinalg._in_lattice([], [0, 0])
+        assert not intlinalg._in_lattice([], [0, 1])
 
 
 class TestGcdMaximalMinors:

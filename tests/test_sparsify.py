@@ -173,6 +173,10 @@ class TestAgainstReferences:
         assert _outcome(first_nonsingular_basis, A) == tau
         if tau[0] is not RankDeficient:
             assert sparsify(A, tau) == sparsify_membership_greedy(A, tau)
+            # The scan's basis is that of tau's columns, so the core
+            # started from it (the CLI's default path) gives the same.
+            scanned = sparsify_module._greedy_basis(A)
+            assert sparsify_module._sparsify(A, *scanned) == sparsify(A, tau)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
