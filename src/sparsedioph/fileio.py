@@ -69,12 +69,13 @@ def parse_matrix_text(text: str, source: str = "<input>") -> IntMatrix:
 
 
 def parse_vector_text(text: str, source: str = "<input>") -> IntVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty vector", 1, 1, source)
     if len(lines) > 1:
-        raise ParseError("vector files hold a single line", 2, 1, source)
-    return tuple(_ints(lines[0], 1, source))
+        raise ParseError("vector files hold a single line", lines[1][0], 1, source)
+    lineno, line = lines[0]
+    return tuple(_ints(line, lineno, source))
 
 
 def parse_inline_vector(text: str, source: str = "<arg>") -> IntVector:

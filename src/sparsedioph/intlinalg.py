@@ -5,10 +5,11 @@ floating point and no overflow. The central objects are dense row-major
 matrices (`IntMatrix`) and column-style Hermite normal forms. Canonical
 bases grow one column at a time (`_hnf_insert`, after Micciancio and
 Warinschi, ISSAC 2001): `hnf_basis` folds it over a column list, and its
-bases give rank and minor gcd; equal bases mean equal lattices, and
-`_in_lattice` tests a vector against one by exact division. Only
-`lattice_member` runs the full elimination `_hnf`, letting identity rows
-ride along to record the transform it solves through. A lattice's
+bases give rank and minor gcd; equal bases mean equal lattices. One
+forward substitution, `_reduce`, takes a vector to its canonical residual
+modulo such a basis: zero iff the vector lies in the lattice.
+`lattice_member` solves A x = b with the same two steps on the lattice
+{(A y, y)}, so its x is the canonical one of x + ker A. A lattice's
 determinant is the diagonal product of its canonical basis
 (`_lattice_det`); other determinants come from Bareiss elimination,
 which needs no gcds.
@@ -170,49 +171,6 @@ def det_exact(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _hnf(cols: list[list[int]], m: int) -> list[int]:
-    """Bring `cols` to column Hermite normal form in place, taking pivots
-    in the first m entries; returns the pivot rows. Entries below row m
-    ride along with every column operation.
-
-    Afterwards the first len(pivots) columns are the canonical lattice
-    basis and the rest are zero in their first m entries. Each pivot (the
-    first nonzero entry of its column, scanning top-down) is positive,
-    pivot rows strictly increase with the column index, and in a pivot's
-    row every entry of an earlier column lies in [0, pivot).
-    """
-    n = len(cols)
-    pivots: list[int] = []
-    for i in range(m):
-        c = len(pivots)
-        if c >= n:
-            break
-        pivot_col = next((j for j in range(c, n) if cols[j][i] != 0), None)
-        if pivot_col is None:
-            continue
-        if pivot_col != c:
-            cols[c], cols[pivot_col] = cols[pivot_col], cols[c]
-        for j in range(c + 1, n):
-            if cols[j][i] == 0:
-                continue
-            a, b = cols[c][i], cols[j][i]
-            g, s, t = _xgcd(a, b)
-            # [[s, -b//g], [t, a//g]] has determinant 1.
-            u, v = -(b // g), a // g
-            hc, hj = cols[c], cols[j]
-            cols[c] = [s * x + t * y for x, y in zip(hc, hj)]
-            cols[j] = [u * x + v * y for x, y in zip(hc, hj)]
-        if cols[c][i] < 0:
-            cols[c] = [-x for x in cols[c]]
-        pivot = cols[c][i]
-        for k in range(c):
-            q = cols[k][i] // pivot
-            if q:
-                cols[k] = [x - q * y for x, y in zip(cols[k], cols[c])]
-        pivots.append(i)
-    return pivots
-
-
 def _hnf_insert(basis: Sequence[IntVector], v: Sequence[int]) -> list[IntVector]:
     """Canonical basis of the lattice of `basis` (canonical, of any rank,
     left unmodified) and column v. Row by row, v loses a multiple of the column
@@ -266,26 +224,23 @@ def _lattice_det(basis: Sequence[IntVector]) -> int:
     return math.prod(col[i] for i, col in enumerate(basis))
 
 
-def _in_lattice(basis: Sequence[IntVector], v: Sequence[int]) -> bool:
-    """Whether v lies in the lattice of the canonical `basis` (of any rank).
-
-    Forward substitution, row by row: in a pivot row, v's entry must be an
-    exact multiple q of the pivot, and v loses q times that column; a
-    nonzero entry in a row where no column pivots puts v outside.
+def _reduce(basis: Sequence[IntVector], v: Sequence[int]) -> list[int]:
+    """Residual of v after forward substitution on the canonical `basis`
+    (of any rank): row by row, in the row where a column pivots, v loses
+    the floor quotient of its entry by the pivot times that column, which
+    leaves the entry in [0, pivot). The residual differs from v by a
+    lattice vector, is the same for all of v + L, and is zero iff v lies
+    in the lattice L.
     """
     v, k = list(v), 0
     for i in range(len(v)):
         if k < len(basis) and basis[k][i]:
             col = basis[k]
-            q, r = divmod(v[i], col[i])
-            if r:
-                return False
+            q = v[i] // col[i]
             if q:
                 v = [x - q * y for x, y in zip(v, col)]
             k += 1
-        elif v[i]:
-            return False
-    return True
+    return v
 
 
 def gcd_maximal_minors(A: IntMatrix) -> int:
@@ -304,25 +259,19 @@ def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     """Solve A x = b over the integers, or return None when b is not in
     the lattice spanned by A's columns.
 
-    Works by triangular substitution on the column HNF H = A*U: H z = b
-    determines z at the pivot rows (with exact divisibility required), the
-    remaining rows are consistency checks, and x = U z.
+    The columns (a_j; e_j) span the lattice {(A y, y)} of Z^(m+n). The
+    residual of (-b; 0) against its canonical basis is (-b - A y; -y) for
+    some y; b is in L(A) iff its top m entries vanish, and then x = -y is
+    its bottom n entries. So x is the canonical representative of
+    x + ker A: each entry at a pivot row of the kernel part lies in
+    [0, pivot).
     """
     vec = as_vector(b)
-    if len(vec) != A.rows:
+    m, n = A.rows, A.cols
+    if len(vec) != m:
         raise DimensionMismatch("right-hand side length differs from row count")
-    # Column j of A with e_j appended: afterwards the rows below A.rows hold U.
-    n = A.cols
-    cols = [list(A.column(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
-    pivots = _hnf(cols, A.rows)
-    # Subtracting z_j times each whole column leaves b - H z on top and -U z below.
-    residual = list(vec) + [0] * n
-    for col, p in zip(cols, pivots):
-        z, r = divmod(residual[p], col[p])
-        if r:
-            return None
-        if z:
-            residual = [v - z * c for v, c in zip(residual, col)]
-    if any(residual[: A.rows]):
+    columns = (A.column(j) + (0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n))
+    residual = _reduce(hnf_basis(columns, m + n), [-v for v in vec] + [0] * n)
+    if any(residual[:m]):
         return None
-    return tuple(-v for v in residual[A.rows :])
+    return tuple(residual[m:])

@@ -5,8 +5,12 @@ determinant is a permutation expansion, factorization is plain trial
 division, and knapsack minima come from depth-first enumeration. The
 superseded trial-first factorization (trial division up to 10^6 before
 any primality test or rho) is kept as a reference for the splitter that
-replaced it. The
-superseded sparsify (one `lattice_member` solve per column) and basis
+replaced it. The full elimination `hnf_transform`, which lets identity
+rows ride along to record the unimodular transform, and the solve through
+that transform, `lattice_member_transform`, are kept as references for
+the package's incremental `_hnf_insert` bases and for `lattice_member`,
+which solves by forward substitution with no transform. The superseded
+sparsify (one membership solve per column) and basis
 choice (a C(n, m) subset scan) are kept here as references for the
 package's passes over transform-free `hnf_basis` bases. The number of
 primary cyclic summands of Z^n / L(M), which the paper bounds by the
@@ -45,10 +49,10 @@ from sparsedioph import (
     factorize,
     gcd_maximal_minors,
     hnf_basis,
-    lattice_member,
     reduce_knapsack_support,
 )
 from sparsedioph.errors import NonPositive
+from sparsedioph.intlinalg import _xgcd
 from sparsedioph.numtheory import (
     DEFAULT_RHO_ITERATION_CAP,
     TRIAL_DIVISION_LIMIT,
@@ -114,6 +118,76 @@ def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
     if A.rows != B.rows:
         raise DimensionMismatch("row counts differ")
     return hnf_basis(A.to_columns(), A.rows) == hnf_basis(B.to_columns(), B.rows)
+
+
+def hnf_transform(cols: list[list[int]], m: int) -> list[int]:
+    """Bring `cols` to column Hermite normal form in place, taking pivots
+    in the first m entries; returns the pivot rows. Entries below row m
+    ride along with every column operation.
+
+    Afterwards the first len(pivots) columns are the canonical lattice
+    basis and the rest are zero in their first m entries. Each pivot (the
+    first nonzero entry of its column, scanning top-down) is positive,
+    pivot rows strictly increase with the column index, and in a pivot's
+    row every entry of an earlier column lies in [0, pivot).
+    """
+    n = len(cols)
+    pivots: list[int] = []
+    for i in range(m):
+        c = len(pivots)
+        if c >= n:
+            break
+        pivot_col = next((j for j in range(c, n) if cols[j][i] != 0), None)
+        if pivot_col is None:
+            continue
+        if pivot_col != c:
+            cols[c], cols[pivot_col] = cols[pivot_col], cols[c]
+        for j in range(c + 1, n):
+            if cols[j][i] == 0:
+                continue
+            a, b = cols[c][i], cols[j][i]
+            g, s, t = _xgcd(a, b)
+            # [[s, -b//g], [t, a//g]] has determinant 1.
+            u, v = -(b // g), a // g
+            hc, hj = cols[c], cols[j]
+            cols[c] = [s * x + t * y for x, y in zip(hc, hj)]
+            cols[j] = [u * x + v * y for x, y in zip(hc, hj)]
+        if cols[c][i] < 0:
+            cols[c] = [-x for x in cols[c]]
+        pivot = cols[c][i]
+        for k in range(c):
+            q = cols[k][i] // pivot
+            if q:
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[c])]
+        pivots.append(i)
+    return pivots
+
+
+def lattice_member_transform(A: IntMatrix, b) -> Optional[tuple]:
+    """Solve A x = b over the integers, or None when b is not in the
+    lattice of A's columns, by triangular substitution on the column HNF
+    H = A U from `hnf_transform`: H z = b determines z at the pivot rows
+    (with exact divisibility required), the remaining rows are consistency
+    checks, and x = U z.
+    """
+    vec = as_vector(b)
+    if len(vec) != A.rows:
+        raise DimensionMismatch("right-hand side length differs from row count")
+    # Column j of A with e_j appended: afterwards the rows below A.rows hold U.
+    n = A.cols
+    cols = [list(A.column(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivots = hnf_transform(cols, A.rows)
+    # Subtracting z_j times each whole column leaves b - H z on top and -U z below.
+    residual = list(vec) + [0] * n
+    for col, p in zip(cols, pivots):
+        z, r = divmod(residual[p], col[p])
+        if r:
+            return None
+        if z:
+            residual = [v - z * c for v, c in zip(residual, col)]
+    if any(residual[: A.rows]):
+        return None
+    return tuple(-v for v in residual[A.rows :])
 
 
 def basis_det(A: IntMatrix, tau):
@@ -418,7 +492,7 @@ def sparsify_membership_greedy(A: IntMatrix, tau):
     kept = [j for j in range(n) if j not in tau0]
     for j in list(kept):
         others = sorted(set(kept) - {j} | set(tau0))
-        if lattice_member(reduced.take_columns(others), reduced.column(j)) is not None:
+        if lattice_member_transform(reduced.take_columns(others), reduced.column(j)) is not None:
             kept.remove(j)
     gamma = tuple(sorted(j + 1 for j in set(kept) | set(tau0)))
     bound = m + omega_truncated(delta, m)

@@ -385,10 +385,12 @@ def count_calls(monkeypatch, module, name, record):
     ],
 )
 def test_default_tau_basis_is_built_once(monkeypatch, argv, bases):
-    # A basis built from scratch starts with an insert into the empty
-    # basis; |det A_tau| comes off the diagonal of tau's basis.
+    # A basis of A's lattice built from scratch starts with an insert of an
+    # m-entry column into the empty basis (the solve's basis lives in
+    # Z^(m+|gamma|)); |det A_tau| comes off the diagonal of tau's basis.
     sizes, dets = [], []
-    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: sizes.append(len(basis)))
+    count_calls(monkeypatch, intlinalg, "_hnf_insert",
+                lambda basis, v: len(v) == 2 and sizes.append(len(basis)))
     count_calls(monkeypatch, intlinalg, "det_exact", dets.append)
     code, _, _ = invoke(argv)
     assert code == 0
@@ -396,14 +398,14 @@ def test_default_tau_basis_is_built_once(monkeypatch, argv, bases):
 
 
 def test_recheck_inserts_gamma_only(monkeypatch):
-    # The recheck builds gamma's basis and tests every other column
-    # against it by exact division, without inserting it.
+    # The recheck builds gamma's basis and reduces every other column on
+    # it, without inserting it.
     A = intlinalg.IntMatrix.from_rows([[4, 6, 9, 15, 10], [2, 0, 3, 5, 7]])
     cert = cli.sparsify(A, (1, 2))
     monkeypatch.setattr(cli, "sparsify", lambda A, tau: cert)
     inserts, tested = [], []
     count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
-    count_calls(monkeypatch, intlinalg, "_in_lattice", lambda basis, v: tested.append(v))
+    count_calls(monkeypatch, intlinalg, "_reduce", lambda basis, v: tested.append(v))
     code, _, _ = invoke(["sparsify", "--matrix", "4 6 9 15 10; 2 0 3 5 7", "--tau", "1 2"])
     assert code == 0
     assert len(cert.gamma) < A.cols
@@ -428,8 +430,10 @@ def test_recheck_catches_a_dropped_column(monkeypatch, tau):
 
 
 def test_one_row_spanning_test_needs_no_basis_and_no_lp(monkeypatch):
+    # No basis of A's one-entry columns; only the solve on gamma builds one.
     inserts, lps = [], []
-    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
+    count_calls(monkeypatch, intlinalg, "_hnf_insert",
+                lambda basis, v: len(v) == 1 and inserts.append(v))
     count_calls(monkeypatch, exactlp, "basic_feasible_point", lambda rows, rhs: lps.append(rhs))
     code, out, _ = invoke(["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2", "--tau", "1"])
     assert code == 0

@@ -3,7 +3,8 @@ subcommand in both output formats, for solved, infeasible, undetermined
 and error runs, plus the README's examples.
 
 The expected transcripts live in `cli_golden.json`. After a deliberate
-change of output, rewrite it as below and review the diff:
+change of output, rewrite it as below, which prints the name of every
+entry that changed, and review the diff:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -212,4 +213,8 @@ if __name__ == "__main__":
         for name, argv, env, consts in _runs():
             with pytest.MonkeyPatch.context() as mp:
                 doc[name] = transcript(argv, env, consts, tmp, mp)
+    old = json.loads(GOLDEN.read_text())
+    for name in sorted(doc.keys() | old.keys()):
+        if doc.get(name) != old.get(name):
+            print(name)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

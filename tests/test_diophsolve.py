@@ -4,8 +4,15 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsedioph import IntMatrix, lattice_member, solve_sparse_lattice
+from sparsedioph import (
+    IntMatrix,
+    first_nonsingular_basis,
+    lattice_member,
+    solve_sparse_lattice,
+    sparsify,
+)
 from oracles import (
+    lattice_member_transform,
     perm_det,
     random_full_row_rank,
     random_nonsingular_tau,
@@ -38,7 +45,7 @@ def instances(draw):
 def test_matches_the_reference_membership_and_sparsify(instance):
     A, tau, b = instance
     report = solve_sparse_lattice(A, b, tau)
-    assert (report is None) == (lattice_member(A, b) is None)
+    assert (report is None) == (lattice_member_transform(A, b) is None)
     if report is None:
         return
     assert all(isinstance(v, int) for v in report.x)
@@ -46,6 +53,24 @@ def test_matches_the_reference_membership_and_sparsify(instance):
     gamma = sparsify_membership_greedy(A, tau).gamma
     assert {j + 1 for j, v in enumerate(report.x) if v} <= set(gamma)
     assert report.support_size <= report.bound
+
+
+def test_x_bits_stay_near_delta_and_b():
+    # A regression pin, not a theorem: on these seeded instances the
+    # canonical x has at most bits(delta) + bits(max |b|) bits, where an
+    # unreduced transform solve gave thousands more. Small instances with
+    # delta = 1 can exceed it.
+    for m, n in ((4, 12), (6, 40), (10, 100)):
+        for seed in range(5):
+            rng = random.Random(1000 * m + seed)
+            A = random_full_row_rank(rng, m, n, -10**6, 10**6)
+            b = A.mat_vec([rng.randint(-10, 10) for _ in range(n)])
+            tau = first_nonsingular_basis(A)
+            report = solve_sparse_lattice(A, b, tau)
+            assert A.mat_vec(report.x) == b
+            bits = max(abs(v) for v in report.x).bit_length()
+            delta = sparsify(A, tau).delta
+            assert bits <= delta.bit_length() + max(abs(v) for v in b).bit_length()
 
 
 def test_single_equation_full_support():

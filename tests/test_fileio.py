@@ -55,6 +55,19 @@ def test_vector_single_line():
         parse_vector_text("\n")
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("\n\n1 x 3\n", 3, 3),
+    ("1 2\n\n\n3 4\n", 4, 1),
+    ("  \n7 8\n \t\n9\n", 4, 1),
+])
+def test_vector_errors_name_the_file_line(text, line, column):
+    # Blank lines count: the position is the file's own line.
+    with pytest.raises(ParseError) as err:
+        parse_vector_text(text, source="b.txt")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"b.txt:{line}:{column}" in str(err.value)
+
+
 def test_inline_forms():
     assert parse_inline_vector("3 5 7") == (3, 5, 7)
     A = parse_inline_matrix("1 0 -1; 0 1 -1")

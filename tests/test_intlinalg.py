@@ -14,7 +14,15 @@ from sparsedioph import (
     lattice_member,
 )
 from sparsedioph import intlinalg
-from oracles import lattice_equal, minors_gcd, perm_det, random_full_row_rank, random_matrix
+from oracles import (
+    hnf_transform,
+    lattice_equal,
+    lattice_member_transform,
+    minors_gcd,
+    perm_det,
+    random_full_row_rank,
+    random_matrix,
+)
 
 
 class TestIntMatrix:
@@ -97,7 +105,7 @@ class TestHnf:
             assert all(lattice_member(B, A.column(j)) is not None for j in range(n))
 
     def test_basis_is_the_nonzero_part_of_the_transform_version(self):
-        # lattice_member's set-up: identity rows ride along below A and
+        # The reference elimination: identity rows ride along below A and
         # record the unimodular U with A U = H.
         rng = random.Random(204)
         for _ in range(120):
@@ -105,7 +113,7 @@ class TestHnf:
             n = rng.randint(0, 7)
             A = random_matrix(rng, m, n, -9, 9)
             cols = [list(A.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
-            rank = len(intlinalg._hnf(cols, m))
+            rank = len(hnf_transform(cols, m))
             basis = hnf_basis(A.to_columns(), m)
             assert basis == [tuple(c[:m]) for c in cols[:rank]]
             assert all(not any(c[:m]) for c in cols[rank:])
@@ -143,7 +151,7 @@ class TestHnfInsert:
     def test_fold_of_inserts_is_the_hnf_from_scratch(self, case):
         m, cols = case
         scratch = [list(c) for c in cols]
-        rank = len(intlinalg._hnf(scratch, m))
+        rank = len(hnf_transform(scratch, m))
         expected = [tuple(c) for c in scratch[:rank]]
         basis = []
         for col in cols:
@@ -171,15 +179,34 @@ class TestInLattice:
         assume(cols)
         basis = hnf_basis(cols[:-1], m)
         for v in (cols[-1], [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]):
-            assert intlinalg._in_lattice(basis, v) == (intlinalg._hnf_insert(basis, v) == basis)
+            in_lattice = not any(intlinalg._reduce(basis, v))
+            assert in_lattice == (intlinalg._hnf_insert(basis, v) == basis)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_lists(), st.lists(st.integers(-(2**20), 2**20), min_size=6, max_size=6),
+           st.lists(st.integers(-5, 5), min_size=9, max_size=9))
+    def test_residual_is_canonical_modulo_the_lattice(self, case, v, coeffs):
+        # Shifting v by a lattice vector leaves the residual unchanged, and
+        # in each pivot row the residual lies in [0, pivot).
+        m, cols = case
+        basis = hnf_basis(cols, m)
+        v = v[:m]
+        shifted = [x + sum(c * col[i] for c, col in zip(coeffs, cols)) for i, x in enumerate(v)]
+        residual = intlinalg._reduce(basis, v)
+        assert residual == intlinalg._reduce(basis, shifted)
+        assert intlinalg._hnf_insert(basis, [x - r for x, r in zip(v, residual)]) == basis
+        for col in basis:
+            p = next(i for i, x in enumerate(col) if x)
+            assert 0 <= residual[p] < col[p]
 
     def test_examples(self):
         basis = hnf_basis([[2, 5, 7], [0, 0, 3]], 3)
-        assert intlinalg._in_lattice(basis, [4, 10, 17])
-        assert not intlinalg._in_lattice(basis, [4, 10, 16])
-        assert not intlinalg._in_lattice(basis, [0, 4, 1])
-        assert intlinalg._in_lattice([], [0, 0])
-        assert not intlinalg._in_lattice([], [0, 1])
+        assert intlinalg._reduce(basis, [4, 10, 17]) == [0, 0, 0]
+        assert intlinalg._reduce(basis, [4, 10, 16]) == [0, 0, 2]
+        assert intlinalg._reduce(basis, [0, 4, 1]) == [0, 4, 1]
+        assert intlinalg._reduce(basis, [-1, 0, -2]) == [1, 5, 2]
+        assert intlinalg._reduce([], [0, 0]) == [0, 0]
+        assert intlinalg._reduce([], [0, 1]) == [0, 1]
 
 
 class TestGcdMaximalMinors:
@@ -245,6 +272,47 @@ class TestLatticeMember:
 
             for x in itertools.product(range(-6, 7), repeat=n):
                 assert A.mat_vec(x) != b
+
+
+@st.composite
+def systems(draw):
+    """A x = b with m = 1..4, n = 0..7, entries up to 2^30 among small
+    ones, and b either A y for a small y or arbitrary."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**30), 2**30))
+    A = IntMatrix(m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    if draw(st.booleans()):
+        b = A.mat_vec(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    else:
+        b = tuple(draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m)))
+    return A, b
+
+
+class TestLatticeMemberAgainstTransform:
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_none_iff_the_reference_finds_none(self, system):
+        A, b = system
+        x = lattice_member(A, b)
+        assert (x is None) == (lattice_member_transform(A, b) is None)
+        if x is not None:
+            assert A.mat_vec(x) == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_x_is_canonical_modulo_the_kernel(self, system):
+        # The reference's last n - rank transform columns span ker A; in
+        # each pivot row of that kernel's canonical basis, x lies in
+        # [0, pivot), which fixes x within x + ker A.
+        A, b = system
+        x = lattice_member(A, b)
+        assume(x is not None)
+        m, n = A.rows, A.cols
+        cols = [list(A.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
+        rank = len(hnf_transform(cols, m))
+        for col in hnf_basis([c[m:] for c in cols[rank:]], n):
+            p = next(i for i, v in enumerate(col) if v)
+            assert 0 <= x[p] < col[p]
 
 
 class TestLatticeEqual:

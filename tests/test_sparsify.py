@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
-from sparsedioph import intlinalg
 from sparsedioph import (
     DimensionMismatch,
     IntMatrix,
@@ -113,24 +112,6 @@ class TestSparsify:
             cert = sparsify(A, tau)
             assert len(sizes) <= 2 * (n - m) + 2
             assert max(sizes) <= len(cert.gamma) + 1
-
-    def test_no_hnf_from_scratch(self, monkeypatch):
-        # Every basis grows by one-column inserts; a rebuild per column
-        # would call the full elimination.
-        calls = []
-        true_hnf = intlinalg._hnf
-
-        def counting(cols, m):
-            calls.append(len(cols))
-            return true_hnf(cols, m)
-
-        monkeypatch.setattr(intlinalg, "_hnf", counting)
-        rng = random.Random(2024)
-        A = random_full_row_rank(rng, 10, 40, -50, 50)
-        tau = first_nonsingular_basis(A)
-        cert = sparsify(A, tau)
-        assert lattice_equal(A, A.take_columns([j - 1 for j in cert.gamma]))
-        assert calls == []
 
 
 @st.composite
