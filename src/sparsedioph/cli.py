@@ -37,10 +37,10 @@ from .numtheory import factorize
 from .oracle import DEFAULT_COORD_CAP, icr_scan, min_support_exact
 from .semigroup import (
     DEFAULT_B_CAP,
+    _solve_posspan,
+    _sparsity_bounds,
     solve_knapsack_mixed,
     solve_knapsack_positive,
-    solve_semigroup_posspan,
-    sparsity_bounds,
 )
 from .sparsify import _greedy_basis, _sparsify, sparsify, worst_case_instance
 
@@ -248,7 +248,7 @@ def _cmd_solve(args, doc):
     tau, basis = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b), "tau": _vec(tau)}
     if args.command == "solve-semigroup":
-        report = solve_semigroup_posspan(A, b, tau)
+        report = _solve_posspan(A, b, tau, basis)
     elif basis is None:
         report = solve_sparse_lattice(A, b, tau)
     else:
@@ -281,9 +281,9 @@ def _cmd_knapsack(args, doc):
 
 def _cmd_bounds(args, doc):
     A = _load_matrix(args)
-    tau, _ = _tau_or_default(args, A)
+    tau, basis = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
-    report = sparsity_bounds(A, tau, extreme_ray_index=args.extreme_ray)
+    report = _sparsity_bounds(A, tau, basis, args.extreme_ray)
 
     def opt(v):
         return _s(v) if v is not None else None

@@ -5,9 +5,11 @@ floating point and no overflow. The central objects are dense row-major
 matrices (`IntMatrix`) and column-style Hermite normal forms. Canonical
 bases grow one column at a time (`_hnf_insert`, after Micciancio and
 Warinschi, ISSAC 2001): `hnf_basis` folds it over a column list, and its
-bases give rank and minor gcd; equal bases mean equal lattices. One
-forward substitution, `_reduce`, takes a vector to its canonical residual
-modulo such a basis: zero iff the vector lies in the lattice.
+bases give rank and minor gcd; equal bases mean equal lattices. Once a
+basis is that of Z^m (the identity), every insert returns it at O(m)
+cost. One forward substitution, `_reduce`, takes a vector to its
+canonical residual modulo such a basis: zero iff the vector lies in the
+lattice.
 `lattice_member` solves A x = b with the same two steps on the lattice
 {(A y, y)}, so its x is the canonical one of x + ker A. A lattice's
 determinant is the diagonal product of its canonical basis
@@ -176,35 +178,48 @@ def _hnf_insert(basis: Sequence[IntVector], v: Sequence[int]) -> list[IntVector]
     left unmodified) and column v. Row by row, v loses a multiple of the column
     pivoting there, or is xgcd-combined with it when that pivot does not
     divide v's entry; a v nonzero where no column pivots joins the basis.
-    Then only the pivot rows from the first changed column on are reduced."""
+    Then only the pivot rows from the first changed column on are reduced.
+    A full-rank basis with unit diagonal, the canonical basis of Z^m,
+    holds every v and is returned as is."""
+    m = len(v)
+    if len(basis) == m and all(col[i] == 1 for i, col in enumerate(basis)):
+        return basis
     basis, v = list(basis), list(v)
     k, low = 0, len(basis)
-    for i in range(len(v)):
+    for i in range(m):
         if k < len(basis) and basis[k][i]:
             # Columns before k pivot above row i and columns after it below.
-            col, a = basis[k], v[i]
-            q, r = divmod(a, col[i])
-            if r:
-                g, s, t = _xgcd(col[i], a)
-                # [[s, -a//g], [t, pivot//g]] has determinant 1.
-                u, w = -(a // g), col[i] // g
-                basis[k] = tuple([s * y + t * x for y, x in zip(col, v)])
-                v = [u * y + w * x for y, x in zip(col, v)]
-                low = min(low, k)
-            elif q:
-                v = [x - q * y for x, y in zip(v, col)]
+            a = v[i]
+            if a:
+                col = basis[k]
+                q, r = divmod(a, col[i])
+                if r:
+                    g, s, t = _xgcd(col[i], a)
+                    # [[s, -a//g], [t, pivot//g]] has determinant 1.
+                    u, w = -(a // g), col[i] // g
+                    basis[k] = tuple([s * y + t * x for y, x in zip(col, v)])
+                    v = [u * y + w * x for y, x in zip(col, v)]
+                    low = min(low, k)
+                else:
+                    v = [x - q * y for x, y in zip(v, col)]
             k += 1
         elif v[i]:
             basis.insert(k, tuple(v) if v[i] > 0 else tuple([-x for x in v]))
             low = min(low, k)
             break
+    # Column c pivots in row p >= c, below the pivot of column c - 1.
+    p = low
     for c in range(low, len(basis)):
         col = basis[c]
-        p = next(i for i, x in enumerate(col) if x)
+        while not col[p]:
+            p += 1
+        pivot = col[p]
         for j in range(c):
-            q = basis[j][p] // col[p]
-            if q:
-                basis[j] = tuple([x - q * y for x, y in zip(basis[j], col)])
+            x = basis[j][p]
+            if not 0 <= x < pivot:
+                q = x // pivot
+                basis[j] = tuple([y - q * z for y, z in zip(basis[j], col)])
+        p += 1
     return basis
 
 

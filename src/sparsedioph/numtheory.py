@@ -19,6 +19,10 @@ budget, trial-divides a resisting cofactor c up to TRIAL_DIVISION_LIMIT = L
 (only in the blocks of primes whose product, built once per process, shares
 a factor with c), and, if c is still composite, counts it as floor(log_L c)
 prime factors, which is an upper bound because each of them exceeds L.
+Sparsify and the bounds report know delta as a product of m diagonal
+quotients of two canonical bases and pass the quotients to the private
+`_omega_upper`, so all of this runs per quotient: two large primes on
+different diagonal entries never meet in one cofactor.
 """
 
 from __future__ import annotations
@@ -181,23 +185,29 @@ def _trial_divide_blocks(v: int, counts: dict[int, int]) -> int:
     return v
 
 
-def _split(z: int, rho_cap: int) -> tuple[dict[int, int], list[int]]:
-    """Prime multiplicities of z, and the cofactors rho could not split.
+def _split(parts, rho_cap: int) -> tuple[dict[int, int], list[int]]:
+    """Prime multiplicities of the product of the positive `parts`, and
+    the cofactors rho could not split.
 
-    The product of the primes (with multiplicity) and the stuck cofactors
-    is z; every stuck cofactor is composite with no prime factor below
+    Each part is trial-divided below _SMALL_TRIAL_LIMIT on its own and
+    what is left goes onto one stack of cofactors, so the counts of a
+    prime found in several parts add up. The product of the primes (with
+    multiplicity) and the stuck cofactors is the product of the parts;
+    every stuck cofactor is composite with no prime factor below
     _SMALL_TRIAL_LIMIT.
     """
-    if z <= 0:
-        raise NonPositive(f"cannot factorize {z}")
     counts: dict[int, int] = {}
-    remaining = z
-    for d in (2, 3):
-        while remaining % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            remaining //= d
-    remaining = _trial_divide(remaining, 5, _SMALL_TRIAL_LIMIT, counts)
-    stack = [remaining] if remaining > 1 else []
+    stack: list[int] = []
+    for z in parts:
+        if z <= 0:
+            raise NonPositive(f"cannot factorize {z}")
+        for d in (2, 3):
+            while z % d == 0:
+                counts[d] = counts.get(d, 0) + 1
+                z //= d
+        z = _trial_divide(z, 5, _SMALL_TRIAL_LIMIT, counts)
+        if z > 1:
+            stack.append(z)
     stuck: list[int] = []
     while stack:
         v = stack.pop()
@@ -220,7 +230,7 @@ def factorize(z: int, rho_iteration_cap: int = DEFAULT_RHO_ITERATION_CAP) -> Fac
     Raises FactorizationTimeout when Pollard's rho cannot split a cofactor
     within `rho_iteration_cap` iterations.
     """
-    counts, stuck = _split(z, rho_iteration_cap)
+    counts, stuck = _split((z,), rho_iteration_cap)
     if stuck:
         raise FactorizationTimeout(
             f"rho exceeded {rho_iteration_cap} iterations on {stuck[0]}"
@@ -238,9 +248,19 @@ def omega_truncated_upper(z: int, m: int) -> tuple[int, bool]:
     found elsewhere keeps the bound, as min(a + b, m) <= min(a, m) + b.
     The bound is exact iff no composite is left over.
     """
+    return _omega_upper((z,), m)
+
+
+def _omega_upper(parts, m: int) -> tuple[int, bool]:
+    """omega_truncated_upper of the product of the positive `parts`.
+
+    The parts are split apart, so two large primes in different parts
+    never meet in one cofactor that rho has to split; the prime counts
+    are merged over all parts before each is capped at m.
+    """
     if m < 1:
         raise NonPositive(f"threshold must be >= 1, got {m}")
-    counts, stuck = _split(z, _BOUND_RHO_ITERATION_CAP)
+    counts, stuck = _split(parts, _BOUND_RHO_ITERATION_CAP)
     unsplit = 0
     for c in stuck:
         c = _trial_divide_blocks(c, counts)

@@ -49,8 +49,8 @@ from .errors import (
 )
 from .exactlp import basic_feasible_point
 from .intlinalg import IntMatrix, IntVector, _hnf_insert, _lattice_det, as_vector, det_exact
-from .numtheory import omega_truncated_upper
-from .sparsify import _basis_indices, _greedy_basis, _tau_basis, sparsify
+from .numtheory import _omega_upper, omega_truncated_upper
+from .sparsify import _basis_indices, _diagonal_quotients, _greedy_basis, _sparsify, _tau_basis
 
 DEFAULT_B_CAP = 10**7
 
@@ -134,12 +134,19 @@ def positively_spans(A: IntMatrix) -> bool:
     """
     if A.cols == 0:
         return False
+    if A.rows > 1:
+        try:
+            _greedy_basis(A)
+        except RankDeficient:
+            return False
+    return _spans_at_full_rank(A)
+
+
+def _spans_at_full_rank(A: IntMatrix) -> bool:
+    # positively_spans for an A with columns and, on two or more rows,
+    # full row rank.
     if A.rows == 1:
         return min(A.row(0)) < 0 < max(A.row(0))
-    try:
-        _greedy_basis(A)
-    except RankDeficient:
-        return False
     return _positive_kernel(A, range(1, A.cols + 1)) is not None
 
 
@@ -153,14 +160,25 @@ def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[Sol
     columns (one phase-I LP, or its closed form when m = 1). The support
     stays within |gamma| + m <= 2m + omega_truncated(delta, m).
     """
-    if not positively_spans(A):
+    return _solve_posspan(A, b, tau, None)
+
+
+def _solve_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
+    # solve_semigroup_posspan. `basis` is None, or the canonical basis of
+    # the default tau from the greedy scan, which has shown full row rank.
+    if not (positively_spans(A) if basis is None else _spans_at_full_rank(A)):
         raise NotPositivelySpanning("columns do not positively span R^m")
-    return (_lift_row if A.rows == 1 else _lift_posspan)(A, b, tau)
+    if A.rows == 1:
+        return _lift_row(A, b, tau)
+    if basis is None:
+        tau, basis = _tau_basis(A, tau)
+    return _lift_posspan(A, b, tau, basis)
 
 
-def _lift_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
-    # solve_semigroup_posspan after its spanning check.
-    cert = sparsify(A, tau)
+def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
+    # solve_semigroup_posspan after its spanning check, for a validated
+    # tau whose columns have the canonical basis `basis`.
+    cert = _sparsify(A, tau, basis)
     b = as_vector(b)
     x = solve_on_columns(A, b, cert.gamma)
     if x is None:
@@ -451,28 +469,36 @@ def sparsity_bounds(
     a column index in 1..n or tau is not a set of m column indices, and
     SingularBasis when the columns of tau are dependent.
     """
+    return _sparsity_bounds(A, tau, None, extreme_ray_index)
+
+
+def _sparsity_bounds(
+    A: IntMatrix, tau, basis, extreme_ray_index: Optional[int]
+) -> BoundsReport:
+    # sparsity_bounds. `basis` is None, or the canonical basis of the
+    # default tau from the greedy scan, which has shown full row rank.
     m, n = A.rows, A.cols
     if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
         raise DimensionMismatch(f"extreme ray index {extreme_ray_index} is outside 1..{n}")
-    # The scan tests the rank before tau is looked at, and its basis
-    # serves tau when tau is the default.
-    try:
-        first, basis = _greedy_basis(A)
-    except RankDeficient:
-        raise RankDeficient("bounds need a full-row-rank matrix") from None
-    tau = first if tau is None else _basis_indices(A, tau)
-    if tau != first:
-        basis = _tau_basis(A, tau)[1]
+    if basis is None:
+        # The scan tests the rank before tau is looked at, and its basis
+        # serves tau when tau is the default.
+        try:
+            first, basis = _greedy_basis(A)
+        except RankDeficient:
+            raise RankDeficient("bounds need a full-row-rank matrix") from None
+        tau = first if tau is None else _basis_indices(A, tau)
+        if tau != first:
+            basis = _tau_basis(A, tau)[1]
     # The canonical basis of all columns, grown from tau's: g is its
-    # determinant and |det(A_tau)| that of tau's basis.
+    # determinant, and delta the product of the diagonal quotients.
     full = functools.reduce(
         _hnf_insert, (A.column(j) for j in range(n) if j + 1 not in tau), basis
     )
     g = _lattice_det(full)
     gram_det = det_exact(A.matmul(A.transpose()))
     adno = m + _floor_log2_sqrt(gram_det // (g * g))
-    delta = _lattice_det(basis) // g
-    omega_m, thm1_exact = omega_truncated_upper(delta, m)
+    omega_m, thm1_exact = _omega_upper(_diagonal_quotients(basis, full), m)
 
     knapsack = None
     row = A.row(0) if m == 1 else ()

@@ -8,9 +8,10 @@ span the same lattice as all of A, with
 
 i.e. m plus the number of prime factors of the basis determinant (divided
 by the minor gcd), multiplicities capped at m. The reported bound is the
-certified upper bound of `omega_truncated_upper`, which equals the
-right-hand side unless a factor of delta resists a short search; the
-certificate says which. The companion
+certified upper bound of `omega_truncated_upper`, taken over the m
+diagonal quotients of tau's and A's canonical bases, whose product is
+delta; it equals the right-hand side unless a factor of one quotient
+resists a short search, and the certificate says which. The companion
 `worst_case_instance` builds matrices on which that inequality is tight.
 
 Column indices in the public API are 1-based throughout.
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidDelta, RankDeficient, SingularBasis
-from .intlinalg import IntMatrix, IntVector, _hnf_insert, _lattice_det, hnf_basis
-from .numtheory import factorize, omega_truncated_upper
+from .intlinalg import IntMatrix, IntVector, _hnf_insert, hnf_basis
+from .numtheory import _omega_upper, factorize
 
 IndexSet = tuple[int, ...]
 
@@ -123,10 +124,12 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     A_tau, so its entries stay below |det(A_tau)|.
 
     |det(A_tau)| is the product of the diagonal of tau's canonical basis,
-    which is lower triangular with positive pivots; no determinant is
-    computed separately. Raises DimensionMismatch unless tau is a strictly
-    increasing set of m indices in 1..n, and SingularBasis when its
-    columns are dependent.
+    which is lower triangular with positive pivots, and gcd(A) that of
+    A's; no determinant is computed separately. delta is the product of
+    the m diagonal quotients, and the bound is taken over them, one
+    cofactor search per quotient. Raises DimensionMismatch unless tau is
+    a strictly increasing set of m indices in 1..n, and SingularBasis
+    when its columns are dependent.
     """
     return _sparsify(A, *_tau_basis(A, tau))
 
@@ -144,13 +147,14 @@ def _sparsify(A: IntMatrix, tau: IndexSet, basis: list[IntVector]) -> SparsifyCe
         suffix.append(_hnf_insert(suffix[-1], columns[j]))
     suffix.reverse()
     full = suffix[0]
-    delta = _lattice_det(basis) // _lattice_det(full)
+    parts = _diagonal_quotients(basis, full)
+    delta = math.prod(parts)
     kept: list[int] = []
     for k, j in enumerate(rest):
         if functools.reduce(_hnf_insert, (columns[i] for i in kept), suffix[k + 1]) != full:
             kept.append(j)
     gamma = tuple(sorted(j + 1 for j in kept + tau0))
-    omega_m, exact = omega_truncated_upper(delta, m)
+    omega_m, exact = _omega_upper(parts, m)
     bound = m + omega_m
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
@@ -159,6 +163,18 @@ def _sparsify(A: IntMatrix, tau: IndexSet, basis: list[IntVector]) -> SparsifyCe
     return SparsifyCertificate(
         tau=tau, gamma=gamma, bound=bound, delta=delta, bound_exact=exact
     )
+
+
+def _diagonal_quotients(basis: list[IntVector], full: list[IntVector]) -> list[int]:
+    """basis[i][i] / full[i][i] for the full-rank canonical bases of tau's
+    columns and of all of A's; their product is delta.
+
+    Both bases are lower triangular and the lattice of `basis` lies in
+    that of `full`, so basis = full * U with U integral and lower
+    triangular, and each diagonal entry of `basis` is that of `full` times
+    one of U's.
+    """
+    return [col[i] // top[i] for i, (col, top) in enumerate(zip(basis, full))]
 
 
 def worst_case_instance(m: int, delta: int) -> IntMatrix:

@@ -9,10 +9,13 @@ import pytest
 from sparsedioph import cli, exactlp, intlinalg, oracle
 from sparsedioph.cli import run
 
-# Two primes just above 2^45. Their product is the basis determinant of
-# HARD; it resists the short rho search behind the reported bounds.
+# Two primes just above 2^45. Their product resists the short rho search
+# behind the reported bounds. In SPLIT each sits on its own diagonal entry
+# of tau's canonical basis, and the bounds take one at a time; in UNSPLIT
+# their product sits on one entry.
 P45, Q45 = 35184372088891, 35184372088907
-HARD = f"{P45} 0 -1; 0 {Q45} -1"
+SPLIT = f"{P45} 0 -1; 0 {Q45} -1"
+UNSPLIT = f"1 0 -1; 0 {P45 * Q45} -1"
 
 
 def invoke(argv, env=None, monkeypatch=None):
@@ -272,13 +275,35 @@ def test_integers_beyond_the_default_digit_limit_round_trip():
     assert get_limit() == limit
 
 
+def test_delta_split_along_the_diagonal_gives_exact_bounds():
+    # m + Omega_m(P45 * Q45) = 4, and 6 for the semigroup.
+    runs = (
+        (["sparsify", "--matrix", SPLIT], "4"),
+        (["solve-dioph", "--matrix", SPLIT, "--rhs", "1 1"], "4"),
+        (["solve-semigroup", "--matrix", SPLIT, "--rhs", "1 1"], "6"),
+    )
+    for argv, bound in runs:
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert f"result.bound = {bound}\n" in out
+        assert "bound_exact" not in out
+        code, out, err = invoke(argv + ["--json"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["bound"] == bound and "bound_exact" not in result
+    code, out, err = invoke(["bounds", "--matrix", SPLIT, "--json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["thm1_semigroup_bound"] == "6" and "thm1_bound_exact" not in result
+
+
 def test_unsplit_delta_gives_a_certified_bound():
     # Exact bounds: m + Omega_m(P45 * Q45) = 4, and 6 for the semigroup;
     # the certified ones count the unsplit cofactor as 4 primes.
     runs = (
-        (["sparsify", "--matrix", HARD], "6"),
-        (["solve-dioph", "--matrix", HARD, "--rhs", "1 1"], "6"),
-        (["solve-semigroup", "--matrix", HARD, "--rhs", "1 1"], "8"),
+        (["sparsify", "--matrix", UNSPLIT], "6"),
+        (["solve-dioph", "--matrix", UNSPLIT, "--rhs", "1 1"], "6"),
+        (["solve-semigroup", "--matrix", UNSPLIT, "--rhs", "1 1"], "8"),
     )
     for argv, bound in runs:
         started = time.perf_counter()
@@ -291,7 +316,7 @@ def test_unsplit_delta_gives_a_certified_bound():
         assert (code, err) == (0, "")
         result = json.loads(out)["result"]
         assert result["bound"] == bound and result["bound_exact"] is False
-    code, out, err = invoke(["bounds", "--matrix", HARD, "--json"])
+    code, out, err = invoke(["bounds", "--matrix", UNSPLIT, "--json"])
     assert (code, err) == (0, "")
     result = json.loads(out)["result"]
     assert result["thm1_semigroup_bound"] == "8" and result["thm1_bound_exact"] is False
@@ -396,6 +421,23 @@ def test_default_tau_basis_is_built_once(monkeypatch, argv, bases):
     assert code == 0
     assert (sizes.count(0), dets) == (bases, [])
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-semigroup", "--matrix", "3 -2 0; 0 -2 5", "--rhs", "7 1"],
+        ["bounds", "--matrix", "3 -2 0; 0 -2 5"],
+    ],
+)
+def test_default_tau_basis_is_handed_to_the_solver(monkeypatch, argv):
+    # Only the CLI's scan builds a basis of A's lattice from scratch; the
+    # spanning test, sparsify and the bounds report start from its basis.
+    sizes = []
+    count_calls(monkeypatch, intlinalg, "_hnf_insert",
+                lambda basis, v: len(v) == 2 and sizes.append(len(basis)))
+    code, out, _ = invoke(argv)
+    assert code == 0 and "status = solved" in out
+    assert sizes.count(0) == 1
 
 def test_recheck_inserts_gamma_only(monkeypatch):
     # The recheck builds gamma's basis and reduces every other column on

@@ -168,6 +168,15 @@ class TestHnfInsert:
         assert intlinalg._hnf_insert(basis, [0, 4, 1]) == [(2, 1, 0), (0, 4, 1), (0, 0, 3)]
         assert intlinalg._hnf_insert(basis, [4, 10, 2]) == basis
 
+    def test_the_basis_of_z_m_comes_back_as_is(self):
+        unit = hnf_basis([[2, 3], [1, 1]], 2)
+        assert unit == [(1, 0), (0, 1)]
+        assert intlinalg._hnf_insert(unit, [7, -5]) is unit
+        # 2Z x Z: full rank, but not Z^2.
+        basis = hnf_basis([[2, 0], [0, 1]], 2)
+        grown = intlinalg._hnf_insert(basis, [1, 0])
+        assert grown == unit and grown is not basis
+
 
 class TestInLattice:
     @settings(max_examples=300, deadline=None)

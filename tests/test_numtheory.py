@@ -173,6 +173,44 @@ class TestOmegaTruncatedUpper:
             omega_truncated_upper(12, 0)
 
 
+class TestOmegaUpperOfParts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 10**5),
+                st.sampled_from((1, 2, 1009, 999983)),
+                st.sampled_from((1, P45, Q45, P45 * Q45)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 4),
+    )
+    def test_certified_and_no_worse_than_the_product(self, draws, m):
+        # The truth comes from trial factorization of each part's small
+        # factor, plus the two large primes, which are known.
+        counts = {}
+        for small, shared, big in draws:
+            found = trial_factorize(small * shared) + [(p, 1) for p in (P45, Q45) if big % p == 0]
+            for p, s in found:
+                counts[p] = counts.get(p, 0) + s
+        truth = sum(min(s, m) for s in counts.values())
+        parts = [small * shared * big for small, shared, big in draws]
+        value, exact = numtheory._omega_upper(parts, m)
+        assert value >= truth
+        if exact:
+            assert value == truth
+        whole, whole_exact = omega_truncated_upper(math.prod(parts), m)
+        if whole_exact:
+            assert (value, exact) == (whole, True)
+
+    def test_primes_in_separate_parts_are_found_without_rho(self):
+        with mock.patch.object(numtheory, "_pollard_rho", side_effect=AssertionError):
+            assert numtheory._omega_upper((P45, 1, Q45), 2) == (2, True)
+            assert numtheory._omega_upper((6 * P45, 4 * P45), 2) == (5, True)
+
+
 def previous_prime(n: int) -> int:
     while not is_probable_prime(n):
         n -= 1

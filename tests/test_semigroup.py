@@ -45,6 +45,7 @@ from oracles import (
 
 semigroup = importlib.import_module("sparsedioph.semigroup")
 intlinalg = importlib.import_module("sparsedioph.intlinalg")
+sparsify_module = importlib.import_module("sparsedioph.sparsify")
 
 
 @pytest.fixture
@@ -214,7 +215,7 @@ class TestSolveSemigroupPosspan:
         b = math.gcd(*a) * data.draw(st.integers(-10**6, 10**6))
         for i in range(1, len(a) + 1):
             if a[i - 1] != 0:
-                general = semigroup._lift_posspan(A, (b,), (i,))
+                general = semigroup._lift_posspan(A, (b,), *sparsify_module._tau_basis(A, (i,)))
                 assert semigroup._lift_row(A, (b,), (i,)) == general
 
     @settings(max_examples=150, deadline=None)
@@ -523,14 +524,12 @@ class TestSolveKnapsackMixed:
     def test_one_omega_bound_per_singleton_basis(self, monkeypatch):
         # The bound and the tie-break come from the n lifts' own reports.
         calls = []
-        for module in (semigroup, importlib.import_module("sparsedioph.sparsify")):
-            true_bound = module.omega_truncated_upper
-
-            def counting(z, m, true_bound=true_bound):
-                calls.append(z)
-                return true_bound(z, m)
-
-            monkeypatch.setattr(module, "omega_truncated_upper", counting)
+        true_bound, true_parts = semigroup.omega_truncated_upper, semigroup._omega_upper
+        monkeypatch.setattr(semigroup, "omega_truncated_upper",
+                            lambda z, m: calls.append(z) or true_bound(z, m))
+        for module in (semigroup, sparsify_module):
+            monkeypatch.setattr(module, "_omega_upper",
+                                lambda parts, m: calls.append(math.prod(parts)) or true_parts(parts, m))
         a = (12, -45, 35, 8)
         report = solve_knapsack_mixed(a, 7)
         assert sorted(calls) == [8, 12, 35, 45]

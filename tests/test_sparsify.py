@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
+numtheory = importlib.import_module("sparsedioph.numtheory")
 from sparsedioph import (
     DimensionMismatch,
     IntMatrix,
@@ -28,6 +29,11 @@ from oracles import (
     sparsify_membership_greedy,
     verify_tightness,
 )
+
+
+# Two primes above 2^45: the short rho search behind the bounds cannot
+# split their product.
+P45, Q45 = 35184372088891, 35184372088907
 
 
 class TestSparsify:
@@ -112,6 +118,49 @@ class TestSparsify:
             cert = sparsify(A, tau)
             assert len(sizes) <= 2 * (n - m) + 2
             assert max(sizes) <= len(cert.gamma) + 1
+
+    def test_large_primes_in_separate_blocks_need_no_rho(self, monkeypatch):
+        # delta = P45 * Q45, and each prime sits on its own diagonal entry
+        # of tau's canonical basis; the bound takes one entry at a time.
+        calls = []
+        true_rho = numtheory._pollard_rho
+
+        def counting(n, cap):
+            calls.append(n)
+            return true_rho(n, cap)
+
+        monkeypatch.setattr(numtheory, "_pollard_rho", counting)
+        A = IntMatrix.from_rows([
+            [P45, 3, 1, 2, 0, 0, 0, 0],
+            [0, 1, 1, 3, 0, 0, 0, 0],
+            [0, 0, 0, 0, Q45, 3, 1, 2],
+            [0, 0, 0, 0, 0, 1, 1, 3],
+        ])
+        cert = sparsify(A, (1, 2, 5, 6))
+        assert (cert.delta, cert.bound, cert.bound_exact) == (P45 * Q45, 6, True)
+        assert calls == []
+
+    def test_inserts_into_the_basis_of_z_m_do_no_work(self, monkeypatch):
+        # The suffix chain reaches Z^2 at its first step; from then on
+        # every insert returns its basis as is, and only the final check
+        # inserts into tau's basis again.
+        rng = random.Random(61)
+        A = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(60)] for _ in range(2)])
+        assert gcd_maximal_minors(A) == 1
+        tau, basis = sparsify_module._greedy_basis(A)
+        expected = sparsify(A, tau)
+        working = []
+        true_insert = sparsify_module._hnf_insert
+
+        def counting(known, v):
+            grown = true_insert(known, v)
+            if grown is not known:
+                working.append(v)
+            return grown
+
+        monkeypatch.setattr(sparsify_module, "_hnf_insert", counting)
+        assert sparsify_module._sparsify(A, tau, basis) == expected
+        assert len(working) <= 4
 
 
 @st.composite
