@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .diophsolve import SolutionReport, _lattice_report, solve_sparse_lattice
@@ -65,7 +65,7 @@ def _s(v) -> str:
 
 
 def _vec(values) -> list[str]:
-    return [_s(v) for v in values]
+    return list(map(str, values))
 
 
 def _mat(A: IntMatrix) -> dict:
@@ -76,9 +76,36 @@ def _mat(A: IntMatrix) -> dict:
     }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for str, bool, None, list and dict
+    values (string keys), with every string on the C encoder: a non-None
+    indent makes json.dumps use its pure-Python one."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        # Vector entries, most of a document, skip the recursive call.
+        items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _emit(doc: dict, as_json: bool, out):
     if as_json:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         return
 
     def emit_value(key, value):

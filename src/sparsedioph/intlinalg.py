@@ -46,7 +46,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
-        normalized = tuple(int(v) for v in self.entries)
+        normalized = tuple(map(int, self.entries))
         if len(normalized) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"expected {self.rows * self.cols} entries, got {len(normalized)}"
@@ -60,8 +60,7 @@ class IntMatrix:
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("rows have unequal lengths")
-        flat = tuple(int(v) for r in rows for v in r)
-        return cls(m, n, flat)
+        return cls(m, n, tuple(v for r in rows for v in r))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -70,8 +69,7 @@ class IntMatrix:
         m = len(cols[0]) if cols else 0
         if any(len(c) != m for c in cols):
             raise DimensionMismatch("columns have unequal lengths")
-        flat = tuple(int(cols[j][i]) for i in range(m) for j in range(n))
-        return cls(m, n, flat)
+        return cls(m, n, tuple(cols[j][i] for i in range(m) for j in range(n)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

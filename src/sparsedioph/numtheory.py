@@ -4,10 +4,11 @@ The lattice and semigroup bounds count prime factors with multiplicities
 capped at m (omega_truncated(z, m)); the mixed-knapsack bound counts
 distinct primes, which is the same count with m = 1.
 
-One private splitter serves every caller. It strips 2 and 3, trial-divides
-below 1000, and then works through a stack of cofactors: each one is
-tested with Miller-Rabin first and only a composite goes to Pollard's rho
-(Brent's variant) under an iteration budget. Primality is deterministic
+One private splitter serves every caller. It strips 2 and 3 and
+trial-divides below 1000; a cofactor left below 1001^2 is then prime. It
+works through a stack of the larger cofactors: each one is tested with
+Miller-Rabin first and only a composite goes to Pollard's rho (Brent's
+variant) under an iteration budget. Primality is deterministic
 below 3.3e24, which covers every 64-bit input; larger numbers get 40
 extra pseudo-random rounds seeded from the input so results stay
 reproducible.
@@ -189,12 +190,14 @@ def _split(parts, rho_cap: int) -> tuple[dict[int, int], list[int]]:
     """Prime multiplicities of the product of the positive `parts`, and
     the cofactors rho could not split.
 
-    Each part is trial-divided below _SMALL_TRIAL_LIMIT on its own and
-    what is left goes onto one stack of cofactors, so the counts of a
-    prime found in several parts add up. The product of the primes (with
-    multiplicity) and the stuck cofactors is the product of the parts;
-    every stuck cofactor is composite with no prime factor below
-    _SMALL_TRIAL_LIMIT.
+    Each part is trial-divided below _SMALL_TRIAL_LIMIT on its own. A
+    cofactor left below _SMALL_TRIAL_LIMIT squared is 1 or a prime, as
+    `_trial_divide` states, and is counted with no primality test. Larger
+    cofactors go onto one stack, where each is tested with Miller-Rabin
+    before rho. The counts of a prime found in several parts add up. The
+    product of the primes (with multiplicity) and the stuck cofactors is
+    the product of the parts; every stuck cofactor is composite with no
+    prime factor below _SMALL_TRIAL_LIMIT.
     """
     counts: dict[int, int] = {}
     stack: list[int] = []
@@ -206,8 +209,10 @@ def _split(parts, rho_cap: int) -> tuple[dict[int, int], list[int]]:
                 counts[d] = counts.get(d, 0) + 1
                 z //= d
         z = _trial_divide(z, 5, _SMALL_TRIAL_LIMIT, counts)
-        if z > 1:
+        if z >= _SMALL_TRIAL_LIMIT * _SMALL_TRIAL_LIMIT:
             stack.append(z)
+        elif z > 1:
+            counts[z] = counts.get(z, 0) + 1
     stuck: list[int] = []
     while stack:
         v = stack.pop()

@@ -6,9 +6,10 @@ Three solving regimes live here, in decreasing generality:
   positively span R^m; the semigroup then coincides with the lattice, and
   a sparse lattice solution on gamma is pushed into the nonnegative
   orthant by one integer kernel vector, positive on gamma and nonzero on
-  at most m more columns, taken from a single phase-I LP. On one row both
-  steps have closed forms: gamma comes from suffix gcds, and the kernel
-  vector is the point that phase-I reaches in one pivot.
+  at most m more columns, taken from a single phase-I LP. On one row every
+  step has a closed form: gamma comes from suffix gcds, the solution on it
+  from gamma's chain of gcds, and the kernel vector is the point that
+  phase-I reaches in one pivot.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
   it lifts from every singleton basis in that closed form and keeps the
   sparsest result.
@@ -169,7 +170,7 @@ def _solve_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Solut
     if not (positively_spans(A) if basis is None else _spans_at_full_rank(A)):
         raise NotPositivelySpanning("columns do not positively span R^m")
     if A.rows == 1:
-        return _lift_row(A, b, tau)
+        return _lift_row(A, b, tau, _suffix_gcds(A.row(0)))
     if basis is None:
         tau, basis = _tau_basis(A, tau)
     return _lift_posspan(A, b, tau, basis)
@@ -208,28 +209,65 @@ def _add_kernel(A: IntMatrix, b: IntVector, x: IntVector, kernel: Sequence[int])
     return x
 
 
-def _lift_row(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
+def _suffix_gcds(a: Sequence[int]) -> list[int]:
+    """after[j] = gcd(a[j:]) for j = 0..len(a), so after[len(a)] = 0."""
+    after = [0] * (len(a) + 1)
+    for j in range(len(a) - 1, -1, -1):
+        after[j] = math.gcd(a[j], after[j + 1])
+    return after
+
+
+def _row_member(c: Sequence[int], b: int) -> Optional[IntVector]:
+    """lattice_member(c as one row, (b,)) for nonzero entries c, in
+    closed form: no basis is built.
+
+    With s_j = gcd(c_j, ..., c_k) and s_(k+1) = 0, the kernel of c has its
+    canonical pivots p_j = s_(j+1) / s_j in rows j < k, so lattice_member's
+    x is the one solution with 0 <= x_j < p_j there, and exists iff s_1
+    divides b. The chain of gcds gives it: while the rest r of b is a
+    multiple of s_j, x_j solves c_j x_j = r modulo s_(j+1), which is
+    (r / s_j) times the inverse of c_j / s_j modulo p_j (0 when p_j = 1);
+    then x_k = r / c_k.
+    """
+    s = _suffix_gcds(c)
+    if b % s[0]:
+        return None
+    x = []
+    r = b
+    for j in range(len(c) - 1):
+        p = s[j + 1] // s[j]
+        v = r // s[j] * pow(c[j] // s[j], -1, p) % p
+        x.append(v)
+        r -= c[j] * v
+    x.append(r // c[-1])
+    return tuple(x)
+
+
+def _lift_row(A: IntMatrix, b: Sequence[int], tau, after: Sequence[int]) -> Optional[SolutionReport]:
     """_lift_posspan for one row, in closed form: the same report.
 
-    The lattice of any columns is their gcd times Z, so `sparsify`'s drop
-    rule with tau = {i} reads: keep j iff the gcd of a_i, the columns kept
-    before j and all columns after j exceeds g = gcd(a). Phase-I Bland on
-    {z >= 0 : a.z = -S}, S the sum of a over gamma, enters the first column
-    e with a_e * S < 0 and stops after that one pivot at z = |S| e_e over
-    d = |a_e|, so the kernel vector is |a_e| 1_gamma + |S| e_e over its
-    content. S is never 0: the last column kept would then be minus the
-    sum of the others, and so in their lattice.
+    `after` holds the suffix gcds of the row (`_suffix_gcds`), which every
+    singleton basis shares. The lattice of any columns is their gcd times
+    Z, so `sparsify`'s drop rule with tau = {i} reads: keep j iff the gcd
+    of a_i, the columns kept before j and all columns after j exceeds
+    g = gcd(a). The solve on gamma is `_row_member`, lattice_member's x
+    read off gamma's own gcd chain. Phase-I Bland on {z >= 0 : a.z = -S},
+    S the sum of a over gamma, enters the first column e with a_e * S < 0
+    and stops after that one pivot at z = |S| e_e over d = |a_e|, so the
+    kernel vector is |a_e| 1_gamma + |S| e_e over its content. S is never
+    0: the last column kept would then be minus the sum of the others,
+    and so in their lattice.
     """
     tau = _basis_indices(A, tau)
     (i,) = tau
-    a_i = A.at(0, i - 1)
+    a = A.row(0)
+    a_i = a[i - 1]
     if a_i == 0:
         raise SingularBasis(f"columns {tau} are linearly dependent")
-    a = A.row(0)
+    b = as_vector(b)
+    if len(b) != 1:
+        raise DimensionMismatch("right-hand side length differs from row count")
     n = len(a)
-    after = [0] * (n + 1)  # after[j] = gcd(a[j:])
-    for j in range(n - 1, -1, -1):
-        after[j] = math.gcd(a[j], after[j + 1])
     g = after[0]
     kept = abs(a_i)
     gamma = []
@@ -242,10 +280,13 @@ def _lift_row(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
     if kept != g:
         raise AssertionError("kept columns changed the lattice")
-    b = as_vector(b)
-    x = solve_on_columns(A, b, gamma)
-    if x is None:
+    part = _row_member([a[j - 1] for j in gamma], b[0])
+    if part is None:
         return None
+    x = [0] * n
+    for v, j in zip(part, gamma):
+        x[j - 1] = v
+    x = tuple(x)
     if any(v < 0 for v in x):
         S = sum(a[j - 1] for j in gamma)
         e = next((j for j in range(n) if a[j] * S < 0), None)
@@ -272,9 +313,10 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
 
     A nonzero row with both signs positively spans R, so the
     positively-spanning lift runs once per singleton basis {i}, with no
-    spanning test, no HNF and no LP: on one row its gamma comes from
-    suffix gcds and its kernel vector from a single Bland pivot. The
-    sparsest outcome is returned; ties prefer the column whose
+    spanning test, no lattice basis and no LP: on one row its gamma comes
+    from the row's suffix gcds, computed once for all n lifts, its x from
+    gamma's own chain of gcds, and its kernel vector from a single Bland
+    pivot. The sparsest outcome is returned; ties prefer the column whose
     omega(|a_i|/gcd) is smallest, then the smallest index. The bound
     2 + min omega(|a_i|/gcd) and the tie-break use certified upper bounds
     on omega, which need no full factorization; `bound_exact` is False
@@ -285,13 +327,13 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
         raise NoSignMix("entries must be nonzero")
     if not (any(v > 0 for v in a) and any(v < 0 for v in a)):
         raise NoSignMix("entries of both signs are required")
-    g = math.gcd(*a)
-    if b % g != 0:
+    after = _suffix_gcds(a)
+    if b % after[0] != 0:
         return None
     A = IntMatrix.row_vector(a)
     # The lift on basis {i} reports bound 2 + omega_truncated_upper(|a_i|/g, 1),
     # a certified upper bound on 2 + omega(|a_i|/g), with its exactness.
-    reports = [_lift_row(A, (b,), (i,)) for i in range(1, len(a) + 1)]
+    reports = [_lift_row(A, (b,), (i,), after) for i in range(1, len(a) + 1)]
     # min keeps the first of equal keys, so ties go to the smallest index.
     best = min(reports, key=lambda r: (r.support_size, r.bound))
     return SolutionReport(

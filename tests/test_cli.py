@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedioph import cli, exactlp, intlinalg, oracle
 from sparsedioph.cli import run
@@ -472,12 +474,24 @@ def test_recheck_catches_a_dropped_column(monkeypatch, tau):
 
 
 def test_one_row_spanning_test_needs_no_basis_and_no_lp(monkeypatch):
-    # No basis of A's one-entry columns; only the solve on gamma builds one.
+    # The sign check, the lift and the solve on gamma build no basis.
     inserts, lps = [], []
-    count_calls(monkeypatch, intlinalg, "_hnf_insert",
-                lambda basis, v: len(v) == 1 and inserts.append(v))
+    count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
     count_calls(monkeypatch, exactlp, "basic_feasible_point", lambda rows, rhs: lps.append(rhs))
     code, out, _ = invoke(["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2", "--tau", "1"])
     assert code == 0
     assert "status = solved" in out
     assert (inserts, lps) == ([], [])
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)

@@ -30,6 +30,15 @@ class TestIntMatrix:
         A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert A.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
 
+    def test_entries_are_normalized_to_int(self):
+        for A in (
+            IntMatrix.from_rows([[True, 2], [3, False]]),
+            IntMatrix.from_columns([[True, 3], [2, False]]),
+            IntMatrix(2, 2, (True, 2, 3, False)),
+        ):
+            assert A.entries == (1, 2, 3, 0)
+            assert all(type(v) is int for v in A.entries)
+
     def test_transpose_keeps_empty_dimensions(self):
         assert IntMatrix(2, 0, ()).transpose() == IntMatrix(0, 2, ())
         assert IntMatrix(0, 3, ()).transpose() == IntMatrix(3, 0, ())

@@ -211,6 +211,32 @@ class TestOmegaUpperOfParts:
             assert numtheory._omega_upper((6 * P45, 4 * P45), 2) == (5, True)
 
 
+class TestSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from((2, 3, 5, 7, 11, 997)), max_size=6),
+        st.sampled_from((1, 1009, 10007, 999983, 1001989)),
+    )
+    def test_cofactors_below_the_trial_square_need_no_primality_test(self, small, big):
+        # 1001989 is the largest prime below 1001^2. Trial division leaves
+        # 1 or the one prime above 1000, which is counted directly.
+        z = math.prod(small) * big
+        with mock.patch.object(numtheory, "is_probable_prime", side_effect=AssertionError), \
+                mock.patch.object(numtheory, "_pollard_rho", side_effect=AssertionError):
+            counts, stuck = numtheory._split((z,), 1)
+        assert stuck == []
+        assert counts == dict(trial_factorize(z))
+
+    def test_cofactors_from_the_trial_square_on_are_tested(self):
+        calls = []
+        true_test = numtheory.is_probable_prime
+        with mock.patch.object(numtheory, "is_probable_prime",
+                               side_effect=lambda n: calls.append(n) or true_test(n)):
+            counts, stuck = numtheory._split((1009 * 1013, 1002017), 10**4)
+        assert (counts, stuck) == ({1009: 1, 1013: 1, 1002017: 1}, [])
+        assert sorted(calls) == sorted([1009, 1013, 1009 * 1013, 1002017])
+
+
 def previous_prime(n: int) -> int:
     while not is_probable_prime(n):
         n -= 1

@@ -216,7 +216,7 @@ class TestSolveSemigroupPosspan:
         for i in range(1, len(a) + 1):
             if a[i - 1] != 0:
                 general = semigroup._lift_posspan(A, (b,), *sparsify_module._tau_basis(A, (i,)))
-                assert semigroup._lift_row(A, (b,), (i,)) == general
+                assert semigroup._lift_row(A, (b,), (i,), semigroup._suffix_gcds(a)) == general
 
     @settings(max_examples=150, deadline=None)
     @given(spanning_instances())
@@ -436,6 +436,26 @@ class TestSolveKnapsackPositive:
         assert best <= report.support_size <= report.bound
 
 
+class TestRowMember:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_lattice_member(self, data):
+        # The gcd chain's x is lattice_member's canonical x, and None
+        # exactly when gcd(c) does not divide b.
+        entry = st.one_of(st.integers(1, 40), st.integers(1, 10**20), st.integers(1, 2**200))
+        c = [data.draw(st.sampled_from((-1, 1))) * v
+             for v in data.draw(st.lists(entry, min_size=1, max_size=8))]
+        scale = data.draw(st.sampled_from((1, math.gcd(*c))))
+        b = scale * data.draw(st.integers(-10**30, 10**30)) + data.draw(st.integers(-2, 2))
+        expected = intlinalg.lattice_member(IntMatrix.row_vector(c), (b,))
+        assert semigroup._row_member(c, b) == expected
+
+    def test_examples(self):
+        assert semigroup._row_member((6, 10, 15), 1) == (1, 1, -1)
+        assert semigroup._row_member((4, -6), 3) is None
+        assert semigroup._row_member((-7,), 14) == (-2,)
+
+
 class TestSolveKnapsackMixed:
     def test_examples(self):
         a = (4, 9, -15)
@@ -502,24 +522,27 @@ class TestSolveKnapsackMixed:
             assert lp_calls[0] == 0
 
     def test_no_hnf_insert(self, monkeypatch):
-        # gamma comes from suffix gcds; no canonical basis of a's lattice
-        # is built. Only the solve on gamma inserts, in Z^(1+|gamma|).
-        calls = [0]
-        true_insert = intlinalg._hnf_insert
+        # gamma comes from suffix gcds and x from gamma's chain of gcds:
+        # no canonical basis is built and lattice_member never runs.
+        calls = {"_hnf_insert": 0, "lattice_member": 0}
+        for name in calls:
+            true_fn = getattr(intlinalg, name)
 
-        def counting(basis, v):
-            calls[0] += len(v) == 1
-            return true_insert(basis, v)
+            def counting(*args, _name=name, _fn=true_fn):
+                calls[_name] += 1
+                return _fn(*args)
 
-        for module in (intlinalg, importlib.import_module("sparsedioph.sparsify")):
-            monkeypatch.setattr(module, "_hnf_insert", counting)
+            for module in (intlinalg, sparsify_module, semigroup,
+                           importlib.import_module("sparsedioph.diophsolve")):
+                if getattr(module, name, None) is true_fn:
+                    monkeypatch.setattr(module, name, counting)
         rng = random.Random(71)
         for _ in range(40):
             n = rng.randint(2, 12)
             a = [rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(n)]
             a[0], a[-1] = -abs(a[0]), abs(a[-1])
             assert solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60)) is not None
-        assert calls[0] == 0
+        assert calls == {"_hnf_insert": 0, "lattice_member": 0}
 
     def test_one_omega_bound_per_singleton_basis(self, monkeypatch):
         # The bound and the tie-break come from the n lifts' own reports.
