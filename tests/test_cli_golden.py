@@ -59,6 +59,8 @@ CASES = {
     "solve-semigroup-lifted": (
         ["solve-semigroup", "--matrix", "3 -2 0; 0 -2 5", "--rhs", "7 1"], {}, {}),
     "knapsack-mixed-unsplit": (["knapsack", "--mixed", "--a", BIG_MIXED, "--b", "1"], {}, {}),
+    "knapsack-mixed-negative-b": (["knapsack", "--mixed", "--a", "6 -10 15", "--b", "-7"],
+                                  {}, {}),
     "knapsack-mixed-twelve-weights": (
         ["knapsack", "--mixed", "--a", "391 -221 1001 -4199 35 714 -95 2431 -646 187 -1105 858",
          "--b", "4"], {}, {}),
@@ -75,6 +77,7 @@ CASES = {
     "bounds-extreme-ray": (["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "3"], {}, {}),
     "bounds-mixed-row": (["bounds", "--matrix", "3 -5"], {}, {}),
     "bounds-unsplit-delta": (["bounds", "--matrix", UNSPLIT], {}, {}),
+    "bounds-negative-row": (["bounds", "--matrix", "-3 -5 -7; 2 0 1"], {}, {}),
     "worst-case-one-row": (["worst-case", "--m", "1", "--delta", "30"], {}, {}),
     "oracle-two-rows": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "2 3"], {}, {}),
     "icr-scan-three": (["icr-scan", "--a", "6 10 15", "--b-max", "60"], {}, {}),
@@ -85,6 +88,10 @@ CASES = {
                                {}, {}),
     "solve-semigroup-infeasible": (
         ["solve-semigroup", "--matrix", "2 0 -2; 0 2 -2", "--rhs", "1 1"], {}, {}),
+    "solve-dioph-infeasible-two-rows": (
+        ["solve-dioph", "--matrix", "2 4 6; 0 3 9", "--rhs", "1 3", "--tau", "1 2"], {}, {}),
+    "solve-semigroup-one-row-infeasible": (
+        ["solve-semigroup", "--matrix", "6 -4 10", "--rhs", "3"], {}, {}),
     "knapsack-positive-infeasible": (["knapsack", "--positive", "--a", "2 3", "--b", "1"], {}, {}),
     "knapsack-mixed-infeasible": (["knapsack", "--mixed", "--a", "4 -6", "--b", "1"], {}, {}),
     "oracle-infeasible": (["oracle", "--matrix", "2 4", "--rhs", "3"], {}, {}),
@@ -125,6 +132,9 @@ CASES = {
                               {}, {}),
     "oracle-coord-cap-below-one": (
         ["oracle", "--matrix", "1 2; 3 4", "--rhs", "5 6", "--coord-cap", "-1"], {}, {}),
+    "solve-dioph-rhs-length": (["solve-dioph", "--matrix", "1 2; 3 4", "--rhs", "1"], {}, {}),
+    "solve-semigroup-rhs-length": (
+        ["solve-semigroup", "--matrix", "1 -1 0; 0 1 -1", "--rhs", "1"], {}, {}),
     "factor-zero": (["factor", "0"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
@@ -132,6 +142,7 @@ CASES = {
     "usage-two-matrices": (["sparsify", "--matrix", "1", "--matrix-file", "A.txt"], {}, {}),
     "usage-not-an-int": (["factor", "abc"], {}, {}),
     "usage-no-command": ([], {}, {}),
+    "usage-unrecognized-argument": (["sparsify", "--matrix", "1 2", "--bogus"], {}, {}),
     "usage-version": (["--version"], {}, {}),
 }
 
