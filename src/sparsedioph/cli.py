@@ -11,7 +11,10 @@ Every subcommand takes one path through `_run`: the handler fills one
 document (instance, status, result) and `_run` emits it once, in either
 format, and maps its status to the exit code. A `CapExceeded` from any
 solver ends the run as undetermined with its reason; worst-case and
-factor print a plain-text rendering unless `--json` is given.
+factor print a plain-text rendering unless `--json` is given. An argv
+that starts with a subcommand's name is parsed by that subcommand's
+parser alone; any other argv, or one that leaves arguments over, goes
+through the top-level parser, so every usage error keeps its text.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .semigroup import (
     solve_knapsack_mixed,
     solve_knapsack_positive,
 )
-from .sparsify import _greedy_basis, _sparsify, sparsify, worst_case_instance
+from .sparsify import _greedy_basis, _sparsify, _suffix_chain, sparsify, worst_case_instance
 
 B_CAP_ENV = "SPARSEDIOPH_B_CAP"
 
@@ -57,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
     # for proven infeasibility, so usage errors must map to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _s(v) -> str:
@@ -189,6 +192,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sparsedioph", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Subcommand name -> its parser, for `_parse`.
+    parser._commands = sub.choices
 
     p = sub.add_parser("sparsify", help="sparsify the generating set of a lattice")
     _add_matrix_args(p)
@@ -245,11 +250,27 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv):
+    """parse_args of the top-level parser, with one argparse pass when
+    argv[0] names a subcommand and its parser leaves nothing over."""
+    parser = _parser()
+    sub = parser._commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def _cmd_sparsify(args, doc):
     A = _load_matrix(args)
     tau, basis = _tau_or_default(args, A)
     doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
-    cert = sparsify(A, tau) if basis is None else _sparsify(A, tau, basis)
+    if basis is None:
+        cert = sparsify(A, tau)
+    else:
+        cert = _sparsify(A, tau, _suffix_chain(A, tau, basis))
     doc["status"] = "solved"
     doc["result"] = {
         "gamma": _vec(cert.gamma),
@@ -279,7 +300,7 @@ def _cmd_solve(args, doc):
     elif basis is None:
         report = solve_sparse_lattice(A, b, tau)
     else:
-        report = _lattice_report(A, b, _sparsify(A, tau, basis))
+        report = _lattice_report(A, b, tau, basis)
     _report(doc, A, b, report)
 
 
@@ -411,7 +432,7 @@ def _run(argv, out, err) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     doc = {"command": args.command}

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intlinalg import IntMatrix, IntVector, as_vector, lattice_member
-from .sparsify import SparsifyCertificate, sparsify
+from .intlinalg import IntMatrix, IntVector, _reduce, _rhs_vector, lattice_member
+from .sparsify import IndexSet, SparsifyCertificate, _sparsify, _suffix_chain, _tau_basis
 
 BOUND_LATTICE = "lattice"
 BOUND_POSITIVE_SPAN = "positive-span"
@@ -58,18 +58,23 @@ def solve_sparse_lattice(
 
     The support of the returned solution is contained in the sparsified
     set gamma for the basis tau, hence bounded by
-    m + omega_truncated(delta, m).
+    m + omega_truncated(delta, m). gamma's columns span the lattice of A,
+    so b is outside it iff it leaves a nonzero residual on A's canonical
+    basis, the first step of sparsify's backward pass; that verdict is
+    reached before the forward pass, the bound and the solve on gamma.
     """
-    return _lattice_report(A, b, sparsify(A, tau))
+    return _lattice_report(A, b, *_tau_basis(A, tau))
 
 
 def _lattice_report(
-    A: IntMatrix, b: Sequence[int], cert: SparsifyCertificate
+    A: IntMatrix, b: Sequence[int], tau: IndexSet, basis: list[IntVector]
 ) -> Optional[SolutionReport]:
-    # solve_sparse_lattice after its sparsify step.
-    x = solve_on_columns(A, as_vector(b), cert.gamma)
-    if x is None:
+    # solve_sparse_lattice for a validated tau whose columns have the
+    # canonical basis `basis`.
+    found = _gamma_solution(A, b, tau, basis)
+    if found is None:
         return None
+    cert, x = found
     return SolutionReport(
         x=x,
         support_size=support_size(x),
@@ -77,3 +82,25 @@ def _lattice_report(
         bound_name=BOUND_LATTICE,
         bound_exact=cert.bound_exact,
     )
+
+
+def _gamma_solution(
+    A: IntMatrix, b: Sequence[int], tau: IndexSet, basis: list[IntVector]
+) -> Optional[tuple[SparsifyCertificate, IntVector]]:
+    """sparsify's certificate for tau and a solution of A x = b supported
+    on its gamma, or None when b is outside the lattice of A.
+
+    `basis` is the canonical basis of tau's (validated) columns. The rhs
+    length is checked first, with lattice_member's error; then b is
+    reduced on the canonical basis of A that ends sparsify's backward
+    pass, and only a b in that lattice goes on to gamma.
+    """
+    b = _rhs_vector(b, A.rows)
+    chain = _suffix_chain(A, tau, basis)
+    if any(_reduce(chain[0], b)):
+        return None
+    cert = _sparsify(A, tau, chain)
+    x = solve_on_columns(A, b, cert.gamma)
+    if x is None:
+        raise AssertionError("b left the lattice on gamma")
+    return cert, x

@@ -268,6 +268,14 @@ def gcd_maximal_minors(A: IntMatrix) -> int:
     return _lattice_det(basis)
 
 
+def _rhs_vector(b: Iterable[int], m: int) -> IntVector:
+    """b as a vector; raises DimensionMismatch unless it has m entries."""
+    vec = as_vector(b)
+    if len(vec) != m:
+        raise DimensionMismatch("right-hand side length differs from row count")
+    return vec
+
+
 def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     """Solve A x = b over the integers, or return None when b is not in
     the lattice spanned by A's columns.
@@ -279,10 +287,8 @@ def lattice_member(A: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     x + ker A: each entry at a pivot row of the kernel part lies in
     [0, pivot).
     """
-    vec = as_vector(b)
     m, n = A.rows, A.cols
-    if len(vec) != m:
-        raise DimensionMismatch("right-hand side length differs from row count")
+    vec = _rhs_vector(b, m)
     columns = (A.column(j) + (0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n))
     residual = _reduce(hnf_basis(columns, m + n), [-v for v in vec] + [0] * n)
     if any(residual[:m]):

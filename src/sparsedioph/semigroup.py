@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .diophsolve import (
     BOUND_POSITIVE_KNAPSACK,
     BOUND_POSITIVE_SPAN,
     SolutionReport,
-    solve_on_columns,
+    _gamma_solution,
     support_size,
 )
 from .errors import (
@@ -49,9 +50,17 @@ from .errors import (
     SingularBasis,
 )
 from .exactlp import basic_feasible_point
-from .intlinalg import IntMatrix, IntVector, _hnf_insert, _lattice_det, as_vector, det_exact
+from .intlinalg import (
+    IntMatrix,
+    IntVector,
+    _hnf_insert,
+    _lattice_det,
+    _rhs_vector,
+    as_vector,
+    det_exact,
+)
 from .numtheory import _omega_upper, omega_truncated_upper
-from .sparsify import _basis_indices, _diagonal_quotients, _greedy_basis, _sparsify, _tau_basis
+from .sparsify import _basis_indices, _diagonal_quotients, _greedy_basis, _tau_basis
 
 DEFAULT_B_CAP = 10**7
 
@@ -170,7 +179,7 @@ def _solve_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Solut
     if not (positively_spans(A) if basis is None else _spans_at_full_rank(A)):
         raise NotPositivelySpanning("columns do not positively span R^m")
     if A.rows == 1:
-        return _lift_row(A, b, tau, _suffix_gcds(A.row(0)))
+        return _lift_row(A, b, tau, _row_chain(A.row(0)))
     if basis is None:
         tau, basis = _tau_basis(A, tau)
     return _lift_posspan(A, b, tau, basis)
@@ -178,17 +187,21 @@ def _solve_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Solut
 
 def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
     # solve_semigroup_posspan after its spanning check, for a validated
-    # tau whose columns have the canonical basis `basis`.
-    cert = _sparsify(A, tau, basis)
-    b = as_vector(b)
-    x = solve_on_columns(A, b, cert.gamma)
-    if x is None:
+    # tau whose columns have the canonical basis `basis`. A b outside the
+    # lattice of A ends on A's canonical basis, before sparsify's forward
+    # pass, its bound and the solve on gamma.
+    found = _gamma_solution(A, b, tau, basis)
+    if found is None:
         return None
+    cert, x = found
     if any(v < 0 for v in x):
         kernel = _positive_kernel(A, cert.gamma)
         if kernel is None:
             raise AssertionError("columns fail to positively span")
-        x = _add_kernel(A, b, x, kernel)
+        lifted = _add_kernel(
+            A.to_rows(), as_vector(b), dict(enumerate(x)), dict(enumerate(kernel))
+        )
+        x = tuple(lifted[j] for j in range(A.cols))
     return SolutionReport(
         x=x,
         support_size=support_size(x),
@@ -198,13 +211,19 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Soluti
     )
 
 
-def _add_kernel(A: IntMatrix, b: IntVector, x: IntVector, kernel: Sequence[int]) -> IntVector:
-    """x plus the smallest multiple of `kernel` that is nonnegative."""
-    # kernel >= 1 on gamma, which covers the support of x;
+def _add_kernel(
+    rows: Sequence[Sequence[int]], b: IntVector, x: dict[int, int], kernel: dict[int, int]
+) -> dict[int, int]:
+    """x plus the smallest multiple of `kernel` that is nonnegative, both
+    given as {0-based column: value} on the columns of `kernel`, which
+    holds the support of x and is positive there; the sum is rechecked
+    against `rows` x = b on those columns."""
     # ceil(-v / k) = -(v // k).
-    scale = max(-(v // k) for v, k in zip(x, kernel) if v < 0)
-    x = tuple(v + scale * k for v, k in zip(x, kernel))
-    if any(v < 0 for v in x) or A.mat_vec(x) != b:
+    scale = max(-(v // kernel[j]) for j, v in x.items() if v < 0)
+    x = {j: x.get(j, 0) + scale * k for j, k in kernel.items()}
+    if any(v < 0 for v in x.values()) or tuple(
+        sum(row[j] * v for j, v in x.items()) for row in rows
+    ) != b:
         raise AssertionError("kernel lift failed to produce a valid solution")
     return x
 
@@ -215,6 +234,22 @@ def _suffix_gcds(a: Sequence[int]) -> list[int]:
     for j in range(len(a) - 1, -1, -1):
         after[j] = math.gcd(a[j], after[j + 1])
     return after
+
+
+def _row_chain(a: Sequence[int]) -> tuple[list[int], int, Optional[int], Optional[int]]:
+    """What every singleton lift on the nonzero row a shares: its suffix
+    gcds `after` (`_suffix_gcds`), the tail start t, which is the first
+    0-based index j with after[j + 1] != gcd(a), and the first positive
+    and first negative index (None when there is none).
+
+    after[j] divides after[j + 1], so after[j + 1] = gcd(a) exactly for
+    j < t: there every later column alone spans the lattice of a.
+    """
+    after = _suffix_gcds(a)
+    tail = next(j for j in range(len(a)) if after[j + 1] != after[0])
+    first_pos = next((j for j, v in enumerate(a) if v > 0), None)
+    first_neg = next((j for j, v in enumerate(a) if v < 0), None)
+    return after, tail, first_pos, first_neg
 
 
 def _row_member(c: Sequence[int], b: int) -> Optional[IntVector]:
@@ -243,64 +278,79 @@ def _row_member(c: Sequence[int], b: int) -> Optional[IntVector]:
     return tuple(x)
 
 
-def _lift_row(A: IntMatrix, b: Sequence[int], tau, after: Sequence[int]) -> Optional[SolutionReport]:
-    """_lift_posspan for one row, in closed form: the same report.
+def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], int, bool]:
+    """The one-row lift from the singleton basis of 0-based column i, for
+    a b that gcd(a) divides: x as {0-based column: value} on gamma and the
+    entering column, then omega_truncated_upper(|a_i| / gcd(a), 1).
 
-    `after` holds the suffix gcds of the row (`_suffix_gcds`), which every
-    singleton basis shares. The lattice of any columns is their gcd times
-    Z, so `sparsify`'s drop rule with tau = {i} reads: keep j iff the gcd
-    of a_i, the columns kept before j and all columns after j exceeds
-    g = gcd(a). The solve on gamma is `_row_member`, lattice_member's x
-    read off gamma's own gcd chain. Phase-I Bland on {z >= 0 : a.z = -S},
+    `chain` is `_row_chain(a)`. The lattice of any columns is their gcd
+    times Z, so `sparsify`'s drop rule with tau = {i} reads: keep j iff
+    the gcd of a_i, the columns kept before j and all columns after j
+    exceeds g = gcd(a). Before the tail start that gcd of later columns is
+    g itself, which divides the kept gcd, so the walk keeps i there and
+    starts at the tail. The solve on gamma is `_row_member`, lattice_member's
+    x read off gamma's own gcd chain. Phase-I Bland on {z >= 0 : a.z = -S},
     S the sum of a over gamma, enters the first column e with a_e * S < 0
     and stops after that one pivot at z = |S| e_e over d = |a_e|, so the
-    kernel vector is |a_e| 1_gamma + |S| e_e over its content. S is never
-    0: the last column kept would then be minus the sum of the others,
-    and so in their lattice.
+    kernel vector is |a_e| 1_gamma + |S| e_e over its content, and x, the
+    kernel and the step stay on gamma and e. S is never 0: the last column
+    kept would then be minus the sum of the others, and so in their
+    lattice.
     """
-    tau = _basis_indices(A, tau)
-    (i,) = tau
-    a = A.row(0)
-    a_i = a[i - 1]
-    if a_i == 0:
-        raise SingularBasis(f"columns {tau} are linearly dependent")
-    b = as_vector(b)
-    if len(b) != 1:
-        raise DimensionMismatch("right-hand side length differs from row count")
-    n = len(a)
+    after, tail, first_pos, first_neg = chain
     g = after[0]
-    kept = abs(a_i)
-    gamma = []
-    for j in range(n):
-        if j == i - 1 or math.gcd(kept, after[j + 1]) != g:
+    kept = abs(a[i])
+    gamma = [i] if i < tail else []
+    for j in range(tail, len(a)):
+        if j == i or math.gcd(kept, after[j + 1]) != g:
             kept = math.gcd(kept, a[j])
-            gamma.append(j + 1)
-    omega_1, exact = omega_truncated_upper(abs(a_i) // g, 1)
+            gamma.append(j)
+    omega_1, exact = omega_truncated_upper(abs(a[i]) // g, 1)
     if len(gamma) > 1 + omega_1:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
     if kept != g:
         raise AssertionError("kept columns changed the lattice")
-    part = _row_member([a[j - 1] for j in gamma], b[0])
-    if part is None:
-        return None
-    x = [0] * n
-    for v, j in zip(part, gamma):
-        x[j - 1] = v
-    x = tuple(x)
-    if any(v < 0 for v in x):
-        S = sum(a[j - 1] for j in gamma)
-        e = next((j for j in range(n) if a[j] * S < 0), None)
+    x = dict(zip(gamma, _row_member([a[j] for j in gamma], b)))
+    if any(v < 0 for v in x.values()):
+        S = sum(a[j] for j in gamma)
+        e = first_neg if S > 0 else first_pos
         if e is None:
             raise AssertionError("columns fail to positively span")
-        kernel = [0] * n
-        for j in gamma:
-            kernel[j - 1] = abs(a[e])
-        kernel[e] += abs(S)
-        content = math.gcd(*kernel)
-        x = _add_kernel(A, b, x, [v // content for v in kernel])
+        kernel = dict.fromkeys(gamma, abs(a[e]))
+        kernel[e] = kernel.get(e, 0) + abs(S)
+        content = math.gcd(*kernel.values())
+        x = _add_kernel((a,), (b,), x, {j: k // content for j, k in kernel.items()})
+    return x, omega_1, exact
+
+
+def _dense(x: dict[int, int], n: int) -> IntVector:
+    """The n-vector with the entries of x, a {0-based column: value} map."""
+    dense = [0] * n
+    for j, v in x.items():
+        dense[j] = v
+    return tuple(dense)
+
+
+def _lift_row(A: IntMatrix, b: Sequence[int], tau, chain) -> Optional[SolutionReport]:
+    """_lift_posspan for one row, in closed form: the same report.
+
+    `chain` is `_row_chain` of the row, which every singleton basis
+    shares; the lift itself is `_lift_sparse`. After tau and the rhs
+    length are checked, a b that gcd(a) does not divide is infeasible at
+    once.
+    """
+    tau = _basis_indices(A, tau)
+    (i,) = tau
+    a = A.row(0)
+    if a[i - 1] == 0:
+        raise SingularBasis(f"columns {tau} are linearly dependent")
+    (b,) = _rhs_vector(b, 1)
+    if b % chain[0][0]:
+        return None
+    x, omega_1, exact = _lift_sparse(a, b, i - 1, chain)
     return SolutionReport(
-        x=x,
-        support_size=support_size(x),
+        x=_dense(x, len(a)),
+        support_size=support_size(x.values()),
         bound=2 + omega_1,
         bound_name=BOUND_POSITIVE_SPAN,
         bound_exact=exact,
@@ -314,9 +364,11 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     A nonzero row with both signs positively spans R, so the
     positively-spanning lift runs once per singleton basis {i}, with no
     spanning test, no lattice basis and no LP: on one row its gamma comes
-    from the row's suffix gcds, computed once for all n lifts, its x from
-    gamma's own chain of gcds, and its kernel vector from a single Bland
-    pivot. The sparsest outcome is returned; ties prefer the column whose
+    from the row's suffix gcds, computed once for all n lifts with the
+    tail start and the first index of each sign, its x from gamma's own
+    chain of gcds, and its kernel vector from a single Bland pivot. Each
+    lift works on gamma and one more column only, and just the sparsest
+    outcome is written out as an n-vector; ties prefer the column whose
     omega(|a_i|/gcd) is smallest, then the smallest index. The bound
     2 + min omega(|a_i|/gcd) and the tie-break use certified upper bounds
     on omega, which need no full factorization; `bound_exact` is False
@@ -327,21 +379,21 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
         raise NoSignMix("entries must be nonzero")
     if not (any(v > 0 for v in a) and any(v < 0 for v in a)):
         raise NoSignMix("entries of both signs are required")
-    after = _suffix_gcds(a)
-    if b % after[0] != 0:
+    chain = _row_chain(a)
+    if b % chain[0][0] != 0:
         return None
-    A = IntMatrix.row_vector(a)
     # The lift on basis {i} reports bound 2 + omega_truncated_upper(|a_i|/g, 1),
     # a certified upper bound on 2 + omega(|a_i|/g), with its exactness.
-    reports = [_lift_row(A, (b,), (i,), after) for i in range(1, len(a) + 1)]
+    lifts = [_lift_sparse(a, b, i, chain) for i in range(len(a))]
+    keys = [(support_size(x.values()), 2 + omega_1) for x, omega_1, _ in lifts]
     # min keeps the first of equal keys, so ties go to the smallest index.
-    best = min(reports, key=lambda r: (r.support_size, r.bound))
+    best = min(range(len(a)), key=keys.__getitem__)
     return SolutionReport(
-        x=best.x,
-        support_size=best.support_size,
-        bound=min(r.bound for r in reports),
+        x=_dense(lifts[best][0], len(a)),
+        support_size=keys[best][0],
+        bound=min(bound for _, bound in keys),
         bound_name=BOUND_MIXED_KNAPSACK,
-        bound_exact=all(r.bound_exact for r in reports),
+        bound_exact=all(exact for _, _, exact in lifts),
     )
 
 
@@ -471,10 +523,18 @@ def solve_knapsack_positive(
 
 
 def _is_pointed_cone(A: IntMatrix) -> bool:
-    # Pointed iff no nonzero nonnegative combination of columns is zero.
-    rows = A.to_rows() + [[1] * A.cols]
-    rhs = [0] * A.rows + [1]
-    return basic_feasible_point(rows, rhs) is None
+    """Whether the cone of A's columns is pointed: no nonzero y >= 0 has
+    A y = 0.
+
+    A row whose entries are all positive, or all negative, settles it
+    with no LP: its product with y >= 0 is zero only at y = 0. Otherwise
+    exact phase-I simplex decides whether {y >= 0 : A y = 0, sum y = 1}
+    is empty.
+    """
+    rows = A.to_rows()
+    if any(min(row) > 0 or max(row) < 0 for row in rows):
+        return True
+    return basic_feasible_point(rows + [[1] * A.cols], [0] * A.rows + [1]) is None
 
 
 def _is_extreme_ray(A: IntMatrix, index: int) -> bool:
@@ -519,6 +579,9 @@ def _sparsity_bounds(
 ) -> BoundsReport:
     # sparsity_bounds. `basis` is None, or the canonical basis of the
     # default tau from the greedy scan, which has shown full row rank.
+    # A A^T is formed once, from row dot products, and the pointed-cone
+    # bound's B B^T is read off it; a row of one sign shows the cone
+    # pointed with no LP (`_is_pointed_cone`).
     m, n = A.rows, A.cols
     if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
         raise DimensionMismatch(f"extreme ray index {extreme_ray_index} is outside 1..{n}")
@@ -538,7 +601,9 @@ def _sparsity_bounds(
         _hnf_insert, (A.column(j) for j in range(n) if j + 1 not in tau), basis
     )
     g = _lattice_det(full)
-    gram_det = det_exact(A.matmul(A.transpose()))
+    rows = A.to_rows()
+    gram = [[sum(map(operator.mul, r, t)) for t in rows] for r in rows]
+    gram_det = det_exact(IntMatrix(m, m, tuple(v for r in gram for v in r)))
     adno = m + _floor_log2_sqrt(gram_det // (g * g))
     omega_m, thm1_exact = _omega_upper(_diagonal_quotients(basis, full), m)
 
@@ -559,9 +624,11 @@ def _sparsity_bounds(
             )
         if designated is not None:
             # Cauchy-Binet: det(A A^T) sums the squares of all maximal
-            # minors, det(B B^T) those of the minors avoiding the column.
-            B = A.take_columns([j for j in range(n) if j != designated - 1])
-            q_squared = gram_det - det_exact(B.matmul(B.transpose()))
+            # minors, det(B B^T) those of the minors avoiding the column;
+            # B is A without column c, so B B^T = A A^T - c c^T.
+            c = A.column(designated - 1)
+            avoiding = tuple(gram[i][k] - c[i] * c[k] for i in range(m) for k in range(m))
+            q_squared = gram_det - det_exact(IntMatrix(m, m, avoiding))
             if q_squared > 0:
                 pointed = m + _floor_log2_sqrt(q_squared // (g * g))
     return BoundsReport(

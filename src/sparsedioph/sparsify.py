@@ -131,34 +131,43 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     a strictly increasing set of m indices in 1..n, and SingularBasis
     when its columns are dependent.
     """
-    return _sparsify(A, *_tau_basis(A, tau))
+    tau, basis = _tau_basis(A, tau)
+    return _sparsify(A, tau, _suffix_chain(A, tau, basis))
 
 
-def _sparsify(A: IntMatrix, tau: IndexSet, basis: list[IntVector]) -> SparsifyCertificate:
-    # sparsify for a validated tau whose columns have the canonical basis
-    # `basis`.
-    m, n = A.rows, A.cols
-    tau0 = [i - 1 for i in tau]
-    columns = A.to_columns()
-    rest = [j for j in range(n) if j not in tau0]
-    # suffix[k] is the basis of tau plus rest[k:].
-    suffix = [basis]
-    for j in reversed(rest):
-        suffix.append(_hnf_insert(suffix[-1], columns[j]))
-    suffix.reverse()
-    full = suffix[0]
-    parts = _diagonal_quotients(basis, full)
+def _suffix_chain(A: IntMatrix, tau: IndexSet, basis: list[IntVector]) -> list[list[IntVector]]:
+    """The backward pass of `sparsify` for a validated tau whose columns
+    have the canonical basis `basis`: chain[k] is the canonical basis of
+    tau's columns and of the columns outside tau from the k-th on. So
+    chain[-1] is `basis` and chain[0] is the canonical basis of A, on
+    which b lies in the lattice of A iff its `_reduce` residual is zero.
+    """
+    chain = [basis]
+    for j in reversed(range(A.cols)):
+        if j + 1 not in tau:
+            chain.append(_hnf_insert(chain[-1], A.column(j)))
+    chain.reverse()
+    return chain
+
+
+def _sparsify(A: IntMatrix, tau: IndexSet, chain: list[list[IntVector]]) -> SparsifyCertificate:
+    # sparsify for a validated tau, after its backward pass `chain`
+    # (`_suffix_chain`).
+    m = A.rows
+    rest = [j for j in range(A.cols) if j + 1 not in tau]
+    full = chain[0]
+    parts = _diagonal_quotients(chain[-1], full)
     delta = math.prod(parts)
     kept: list[int] = []
     for k, j in enumerate(rest):
-        if functools.reduce(_hnf_insert, (columns[i] for i in kept), suffix[k + 1]) != full:
+        if functools.reduce(_hnf_insert, (A.column(i) for i in kept), chain[k + 1]) != full:
             kept.append(j)
-    gamma = tuple(sorted(j + 1 for j in kept + tau0))
+    gamma = tuple(sorted([j + 1 for j in kept] + list(tau)))
     omega_m, exact = _omega_upper(parts, m)
     bound = m + omega_m
     if len(gamma) > bound:
         raise AssertionError("non-redundant set exceeded the sparsity bound")
-    if functools.reduce(_hnf_insert, (columns[j] for j in kept), suffix[-1]) != full:
+    if functools.reduce(_hnf_insert, (A.column(j) for j in kept), chain[-1]) != full:
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(
         tau=tau, gamma=gamma, bound=bound, delta=delta, bound_exact=exact

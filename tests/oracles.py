@@ -25,6 +25,10 @@ same weight at every value, so the two must return the same report.
 The `icr_scan` that built every subset's closure from scratch is kept as
 the reference for the one that adds one weight to a closure one level
 down: both must return the same value or stop at the same work cap.
+The mixed-sign knapsack taken through the general positively-spanning
+lift (sparsify, a lattice solve and the phase-I LP) on every singleton
+basis, `solve_knapsack_mixed_by_lifts`, is kept as the reference for the
+closed-form sparse lifts that replaced it: same lifts, same choice.
 The exact prime counts `omega_truncated` and `omega`, `lattice_equal` and
 the exhaustive tightness check `verify_tightness` serve only the tests'
 bound and lattice checks, so they live here; the package itself only
@@ -43,6 +47,7 @@ from sparsedioph import (
     IntMatrix,
     RankDeficient,
     SingularBasis,
+    SolutionReport,
     SparsifyCertificate,
     as_vector,
     det_exact,
@@ -51,6 +56,7 @@ from sparsedioph import (
     hnf_basis,
     reduce_knapsack_support,
 )
+from sparsedioph.diophsolve import BOUND_MIXED_KNAPSACK
 from sparsedioph.errors import NonPositive
 from sparsedioph.intlinalg import _xgcd
 from sparsedioph.numtheory import (
@@ -60,8 +66,8 @@ from sparsedioph.numtheory import (
     _pollard_rho,
     is_probable_prime,
 )
-from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset
-from sparsedioph.sparsify import check_index_set
+from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset, _lift_posspan
+from sparsedioph.sparsify import _tau_basis, check_index_set
 
 
 def perm_det(rows) -> int:
@@ -501,6 +507,25 @@ def sparsify_membership_greedy(A: IntMatrix, tau):
     if not lattice_equal(A, A.take_columns([i - 1 for i in gamma])):
         raise AssertionError("kept columns changed the lattice")
     return SparsifyCertificate(tau=tau, gamma=gamma, bound=bound, delta=delta)
+
+
+def solve_knapsack_mixed_by_lifts(a, b: int) -> Optional[SolutionReport]:
+    """solve_knapsack_mixed as the minimum over i of the general lift
+    `_lift_posspan` on the basis {i}: the sparsest report, then the
+    smallest bound, then the smallest i; the bound is the least over all
+    lifts and exact iff every lift's is."""
+    A = IntMatrix.row_vector(a)
+    if b % math.gcd(*a):
+        return None
+    reports = [_lift_posspan(A, (b,), *_tau_basis(A, (i,))) for i in range(1, len(a) + 1)]
+    best = min(reports, key=lambda r: (r.support_size, r.bound))
+    return SolutionReport(
+        x=best.x,
+        support_size=best.support_size,
+        bound=min(r.bound for r in reports),
+        bound_name=BOUND_MIXED_KNAPSACK,
+        bound_exact=all(r.bound_exact for r in reports),
+    )
 
 
 def pointed_cone_bound_enumerated(A: IntMatrix, designated: int, g: int):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedioph import cli, exactlp, intlinalg, oracle
+from sparsedioph import cli, exactlp, intlinalg, numtheory, oracle
 from sparsedioph.cli import run
 
 # Two primes just above 2^45. Their product resists the short rho search
@@ -495,3 +495,39 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-dioph", "--matrix", "2 4 6; 0 3 9", "--rhs", "1 3"],
+        ["solve-dioph", "--matrix", "2 4 6; 0 3 9", "--rhs", "1 3", "--tau", "1 2"],
+        ["solve-semigroup", "--matrix", "2 0 -2; 0 2 -2", "--rhs", "1 1"],
+        ["solve-semigroup", "--matrix", "6 -4 10", "--rhs", "3"],
+    ],
+)
+def test_infeasible_solves_end_at_the_lattice_of_a(monkeypatch, argv):
+    # b outside L(A) = L(A_gamma) is settled on A's canonical basis: no
+    # Omega bound and no solve on gamma run for a document without gamma.
+    calls = []
+    for name in ("_omega_upper", "omega_truncated_upper"):
+        count_calls(monkeypatch, numtheory, name, lambda *args, _n=name: calls.append(_n))
+    count_calls(monkeypatch, intlinalg, "lattice_member", lambda *args: calls.append("solve"))
+    code, out, _ = invoke(argv)
+    assert code == 2 and "status = infeasible" in out
+    assert calls == []
+
+
+def test_a_valid_run_parses_once(monkeypatch):
+    # An argv that starts with a subcommand goes to that subcommand's
+    # parser alone; a leftover argument falls back to the top level.
+    top = []
+    parser = cli._parser()
+    true_parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top.append(argv) or true_parse(argv))
+    assert invoke(["knapsack", "--mixed", "--a", "6 -10 15", "--b", "-7"])[0] == 0
+    assert invoke(["bounds", "--matrix", "-3 -5 -7; 2 0 1", "--json"])[0] == 0
+    assert invoke(["factor", "360"]) == (0, "2^3 * 3^2 * 5\n", "")
+    assert top == []
+    assert invoke(["sparsify", "--matrix", "1 2", "--bogus"])[0] == 1
+    assert top == [["sparsify", "--matrix", "1 2", "--bogus"]]

@@ -40,9 +40,11 @@ from oracles import (
     omega_truncated,
     perm_det,
     pointed_cone_bound_enumerated,
+    solve_knapsack_mixed_by_lifts,
     solve_knapsack_positive_dp,
 )
 
+exactlp = importlib.import_module("sparsedioph.exactlp")
 semigroup = importlib.import_module("sparsedioph.semigroup")
 intlinalg = importlib.import_module("sparsedioph.intlinalg")
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
@@ -216,7 +218,7 @@ class TestSolveSemigroupPosspan:
         for i in range(1, len(a) + 1):
             if a[i - 1] != 0:
                 general = semigroup._lift_posspan(A, (b,), *sparsify_module._tau_basis(A, (i,)))
-                assert semigroup._lift_row(A, (b,), (i,), semigroup._suffix_gcds(a)) == general
+                assert semigroup._lift_row(A, (b,), (i,), semigroup._row_chain(a)) == general
 
     @settings(max_examples=150, deadline=None)
     @given(spanning_instances())
@@ -559,6 +561,39 @@ class TestSolveKnapsackMixed:
         assert report.bound == 2 + min(omega(v) for v in (12, 45, 35, 8)) == 3
 
 
+    def test_no_dense_product(self, monkeypatch):
+        # Each lift checks a.x = b over gamma and the entering column; no
+        # n-vector product runs.
+        calls = []
+        true_mat_vec = IntMatrix.mat_vec
+        monkeypatch.setattr(IntMatrix, "mat_vec",
+                            lambda self, v: calls.append(v) or true_mat_vec(self, v))
+        rng = random.Random(73)
+        lifted = 0
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            a = [rng.choice([-1, 1]) * rng.randint(1, 10**4) for _ in range(n)]
+            a[0], a[-1] = -abs(a[0]), abs(a[-1])
+            report = solve_knapsack_mixed(a, math.gcd(*a) * rng.randint(-60, 60))
+            lifted += report.support_size > 1
+        assert lifted > 0
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_general_lifts(self, data):
+        # The sparse closed-form lifts against sparsify plus the phase-I LP
+        # on every singleton basis: all five report fields agree.
+        entry = st.one_of(st.integers(1, 30), st.integers(1, 10**12))
+        n = data.draw(st.integers(2, 8))
+        a = [data.draw(entry) * data.draw(st.sampled_from((-1, 1))) for _ in range(n)]
+        assume(min(a) < 0 < max(a))
+        g = math.gcd(*a)
+        b = data.draw(st.one_of(st.integers(-10**6, 10**6).map(lambda k: g * k),
+                                st.integers(-10**6, 10**6)))
+        assert solve_knapsack_mixed(a, b) == solve_knapsack_mixed_by_lifts(a, b)
+
+
 class TestSparsityBounds:
     def test_positive_row(self):
         report = sparsity_bounds(IntMatrix.from_rows([[3, 5, 7]]))
@@ -627,6 +662,42 @@ class TestSparsityBounds:
         with pytest.raises(DimensionMismatch, match="^basis needs 2 indices, got 1$"):
             sparsify(A, (1,))
         assert sparsity_bounds(A, tau=(1, 3)).thm1_semigroup_bound == 4
+
+    def test_one_signed_row_needs_no_pointedness_lp(self, lp_calls):
+        # A y = 0 with y >= 0 forces y = 0 through a row of one sign.
+        for rows in ([[-3, -5, -7], [2, 0, 1]], [[0, 4, -1], [1, 2, 3]], [[2, 9]]):
+            assert semigroup._is_pointed_cone(IntMatrix.from_rows(rows))
+        assert lp_calls[0] == 0
+        assert not semigroup._is_pointed_cone(IntMatrix.from_rows([[1, -1, 0], [0, 0, 1]]))
+        assert lp_calls[0] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pointedness_equals_the_lp(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 5))
+        entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        lp = exactlp.basic_feasible_point(rows + [[1] * n], [0] * m + [1])
+        assert semigroup._is_pointed_cone(IntMatrix.from_rows(rows)) == (lp is None)
+
+    def test_no_matrix_product(self, monkeypatch):
+        # A A^T comes from row dot products, and B B^T = A A^T - c c^T for
+        # B = A without the designated column c.
+        calls = []
+        true_matmul = IntMatrix.matmul
+        monkeypatch.setattr(IntMatrix, "matmul",
+                            lambda self, other: calls.append(other) or true_matmul(self, other))
+        for rows in ([[1, 2, 3], [4, 5, 7]], [[-3, -5, -7], [2, 0, 1]], [[3, 5, 7]],
+                     [[2, 0, 4], [0, 2, 2]], [[1, 3, 2, 4], [2, 1, 5, 1], [1, 1, 1, 3]]):
+            A = IntMatrix.from_rows(rows)
+            g = gcd_maximal_minors(A)
+            for j in range(1, A.cols + 1):
+                bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
+                if bound is not None:
+                    assert bound == pointed_cone_bound_enumerated(A, j, g)
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

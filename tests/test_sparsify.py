@@ -159,7 +159,8 @@ class TestSparsify:
             return grown
 
         monkeypatch.setattr(sparsify_module, "_hnf_insert", counting)
-        assert sparsify_module._sparsify(A, tau, basis) == expected
+        chain = sparsify_module._suffix_chain(A, tau, basis)
+        assert sparsify_module._sparsify(A, tau, chain) == expected
         assert len(working) <= 4
 
 
@@ -206,7 +207,8 @@ class TestAgainstReferences:
             # The scan's basis is that of tau's columns, so the core
             # started from it (the CLI's default path) gives the same.
             scanned = sparsify_module._greedy_basis(A)
-            assert sparsify_module._sparsify(A, *scanned) == sparsify(A, tau)
+            chain = sparsify_module._suffix_chain(A, *scanned)
+            assert sparsify_module._sparsify(A, scanned[0], chain) == sparsify(A, tau)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
