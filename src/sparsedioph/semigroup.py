@@ -201,7 +201,7 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Soluti
         lifted = _add_kernel(
             A.to_rows(), as_vector(b), dict(enumerate(x)), dict(enumerate(kernel))
         )
-        x = tuple(lifted[j] for j in range(A.cols))
+        x = _dense(lifted, A.cols)
     return SolutionReport(
         x=x,
         support_size=support_size(x),
