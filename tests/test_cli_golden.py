@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 # the short rho search cannot split it, and the bounds are certified only.
 UNSPLIT = "1 0 -1; 0 1237940039290094980759032137 -1"
 BIG_MIXED = "1329227995784916015866073631529372603 -3"
+RANK_1 = "1 2 3;2 4 6"
 
 FILES = {
     "A.txt": "2 3\n6 10 15\n4 6 9\n",
@@ -136,6 +137,17 @@ CASES = {
     "solve-semigroup-rhs-length": (
         ["solve-semigroup", "--matrix", "1 -1 0; 0 1 -1", "--rhs", "1"], {}, {}),
     "factor-zero": (["factor", "0"], {}, {}),
+    # A rank-deficient matrix, with the default tau and with a given one.
+    "sparsify-rank-deficient": (["sparsify", "--matrix", RANK_1], {}, {}),
+    "solve-dioph-rank-deficient": (["solve-dioph", "--matrix", RANK_1, "--rhs", "1 2"], {}, {}),
+    "solve-semigroup-rank-deficient": (
+        ["solve-semigroup", "--matrix", RANK_1, "--rhs", "1 2"], {}, {}),
+    "solve-semigroup-rank-deficient-tau": (
+        ["solve-semigroup", "--matrix", RANK_1, "--rhs", "1 2", "--tau", "1 3"], {}, {}),
+    "bounds-rank-deficient": (["bounds", "--matrix", RANK_1], {}, {}),
+    "bounds-rank-deficient-tau": (["bounds", "--matrix", RANK_1, "--tau", "1"], {}, {}),
+    "bounds-rank-deficient-extreme-ray": (
+        ["bounds", "--matrix", RANK_1, "--extreme-ray", "9"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
     "usage-unknown-command": (["no-such-command"], {}, {}),
