@@ -29,7 +29,6 @@ from .intlinalg import (
     IntVector,
     as_vector,
     det_exact,
-    gcd_maximal_minors,
     hnf_basis,
     lattice_member,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "det_exact",
     "factorize",
     "first_nonsingular_basis",
-    "gcd_maximal_minors",
     "hnf_basis",
     "icr_scan",
     "is_probable_prime",

@@ -26,7 +26,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .diophsolve import SolutionReport, _lattice_report, solve_sparse_lattice
+from .diophsolve import SolutionReport, solve_sparse_lattice
 from .errors import CapExceeded, Error, ParseError
 from .fileio import (
     format_matrix,
@@ -40,12 +40,12 @@ from .numtheory import factorize
 from .oracle import DEFAULT_COORD_CAP, icr_scan, min_support_exact
 from .semigroup import (
     DEFAULT_B_CAP,
-    _solve_posspan,
-    _sparsity_bounds,
     solve_knapsack_mixed,
     solve_knapsack_positive,
+    solve_semigroup_posspan,
+    sparsity_bounds,
 )
-from .sparsify import _greedy_basis, _sparsify, _suffix_chain, sparsify, worst_case_instance
+from .sparsify import first_nonsingular_basis, sparsify, worst_case_instance
 
 B_CAP_ENV = "SPARSEDIOPH_B_CAP"
 
@@ -140,13 +140,11 @@ def _load_rhs(args):
     return parse_inline_vector(args.rhs, source="--rhs")
 
 
-def _tau_or_default(args, A: IntMatrix):
-    """tau and, for the default tau, the canonical basis of its columns,
-    which the scan that picks it builds; None with --tau, whose indices
-    the solvers validate."""
-    if args.tau is not None:
-        return parse_inline_vector(args.tau, source="--tau"), None
-    return _greedy_basis(A)
+def _load_tau(args):
+    """--tau as parsed, or None for the solvers' default basis."""
+    if args.tau is None:
+        return None
+    return parse_inline_vector(args.tau, source="--tau")
 
 
 def _report(doc: dict, A: IntMatrix, b, report: SolutionReport | None) -> None:
@@ -265,12 +263,8 @@ def _parse(argv):
 
 def _cmd_sparsify(args, doc):
     A = _load_matrix(args)
-    tau, basis = _tau_or_default(args, A)
-    doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
-    if basis is None:
-        cert = sparsify(A, tau)
-    else:
-        cert = _sparsify(A, tau, _suffix_chain(A, tau, basis))
+    cert = sparsify(A, _load_tau(args))
+    doc["instance"] = {"matrix": _mat(A), "tau": _vec(cert.tau)}
     doc["status"] = "solved"
     doc["result"] = {
         "gamma": _vec(cert.gamma),
@@ -293,14 +287,15 @@ def _cmd_sparsify(args, doc):
 def _cmd_solve(args, doc):
     A = _load_matrix(args)
     b = _load_rhs(args)
-    tau, basis = _tau_or_default(args, A)
+    tau = _load_tau(args)
+    solve = solve_semigroup_posspan if args.command == "solve-semigroup" else solve_sparse_lattice
+    report = solve(A, b, tau)
+    if report is not None:
+        tau = report.tau
+    elif tau is None:
+        # An infeasible solve returns no report; echo the default tau.
+        tau = first_nonsingular_basis(A)
     doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b), "tau": _vec(tau)}
-    if args.command == "solve-semigroup":
-        report = _solve_posspan(A, b, tau, basis)
-    elif basis is None:
-        report = solve_sparse_lattice(A, b, tau)
-    else:
-        report = _lattice_report(A, b, tau, basis)
     _report(doc, A, b, report)
 
 
@@ -329,9 +324,8 @@ def _cmd_knapsack(args, doc):
 
 def _cmd_bounds(args, doc):
     A = _load_matrix(args)
-    tau, basis = _tau_or_default(args, A)
-    doc["instance"] = {"matrix": _mat(A), "tau": _vec(tau)}
-    report = _sparsity_bounds(A, tau, basis, args.extreme_ray)
+    report = sparsity_bounds(A, _load_tau(args), args.extreme_ray)
+    doc["instance"] = {"matrix": _mat(A), "tau": _vec(report.tau)}
 
     def opt(v):
         return _s(v) if v is not None else None

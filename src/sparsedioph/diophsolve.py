@@ -24,7 +24,9 @@ class SolutionReport:
     """A solution vector together with the sparsity bound it satisfies.
 
     `bound_exact` is False when `bound` is a certified upper bound on the
-    named bound rather than its exact value.
+    named bound rather than its exact value. `tau` is the column basis
+    the bound was taken for; the knapsack solvers, which have none, leave
+    it None.
     """
 
     x: IntVector
@@ -32,6 +34,7 @@ class SolutionReport:
     bound: int
     bound_name: str
     bound_exact: bool = True
+    tau: Optional[IndexSet] = None
 
 
 def support_size(x: Sequence[int]) -> int:
@@ -51,7 +54,7 @@ def solve_on_columns(A: IntMatrix, b: Sequence[int], columns: Sequence[int]) -> 
 
 
 def solve_sparse_lattice(
-    A: IntMatrix, b: Sequence[int], tau
+    A: IntMatrix, b: Sequence[int], tau=None
 ) -> Optional[SolutionReport]:
     """Sparse integer solution of A x = b, or None when b is outside the
     lattice spanned by A's columns.
@@ -62,15 +65,11 @@ def solve_sparse_lattice(
     so b is outside it iff it leaves a nonzero residual on A's canonical
     basis, the first step of sparsify's backward pass; that verdict is
     reached before the forward pass, the bound and the solve on gamma.
+    `tau` defaults to `first_nonsingular_basis(A)`, and the report names
+    the tau it used. Errors on tau come first, as in `sparsify`, then
+    DimensionMismatch when b does not have m entries.
     """
-    return _lattice_report(A, b, *_tau_basis(A, tau))
-
-
-def _lattice_report(
-    A: IntMatrix, b: Sequence[int], tau: IndexSet, basis: list[IntVector]
-) -> Optional[SolutionReport]:
-    # solve_sparse_lattice for a validated tau whose columns have the
-    # canonical basis `basis`.
+    tau, basis = _tau_basis(A, tau)
     found = _gamma_solution(A, b, tau, basis)
     if found is None:
         return None
@@ -81,6 +80,7 @@ def _lattice_report(
         bound=cert.bound,
         bound_name=BOUND_LATTICE,
         bound_exact=cert.bound_exact,
+        tau=tau,
     )
 
 

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch
 
 IntVector = tuple[int, ...]
 
@@ -72,10 +72,6 @@ class IntMatrix:
         return cls(m, n, tuple(cols[j][i] for i in range(m) for j in range(n)))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def row_vector(cls, values: Sequence[int]) -> "IntMatrix":
         vals = as_vector(values)
         return cls(1, len(vals), vals)
@@ -95,10 +91,6 @@ class IntMatrix:
     def to_columns(self) -> list[list[int]]:
         return [list(self.column(j)) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        flat = tuple(v for j in range(self.cols) for v in self.entries[j :: self.cols])
-        return IntMatrix(self.cols, self.rows, flat)
-
     def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
         """Submatrix with the given 0-based columns, in the given order."""
         for j in indices:
@@ -108,23 +100,11 @@ class IntMatrix:
             return IntMatrix(self.rows, 0, ())
         return IntMatrix.from_columns([list(self.column(j)) for j in indices])
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        rows = self.to_rows()
-        cols = other.to_columns()
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in rows]
-        )
-
     def mat_vec(self, v: Sequence[int]) -> IntVector:
         vec = as_vector(v)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length differs from column count")
         return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -148,7 +128,7 @@ def det_exact(M: IntMatrix) -> int:
     All intermediate divisions are exact, so entry growth stays polynomial
     and the result is the true integer determinant.
     """
-    if not M.is_square():
+    if M.rows != M.cols:
         raise DimensionMismatch("determinant needs a square matrix")
     n = M.rows
     if n == 0:
@@ -254,18 +234,6 @@ def _reduce(basis: Sequence[IntVector], v: Sequence[int]) -> list[int]:
                 v = [x - q * y for x, y in zip(v, col)]
             k += 1
     return v
-
-
-def gcd_maximal_minors(A: IntMatrix) -> int:
-    """gcd of all m x m minors of a full-row-rank m x n matrix.
-
-    Computed as the determinant of the canonical basis of the lattice
-    spanned by A's columns, which equals that gcd.
-    """
-    basis = hnf_basis(A.to_columns(), A.rows)
-    if len(basis) < A.rows:
-        raise RankDeficient(f"rank {len(basis)} < row count {A.rows}")
-    return _lattice_det(basis)
 
 
 def _rhs_vector(b: Iterable[int], m: int) -> IntVector:

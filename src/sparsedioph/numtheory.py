@@ -58,12 +58,6 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        out = 1
-        for p, s in self.factors:
-            out *= p**s
-        return out
-
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test; deterministic below 3.3e24."""

@@ -26,7 +26,10 @@ from .intlinalg import IntMatrix, as_vector
 from .semigroup import _add_coin, _closure_bitset
 
 DEFAULT_COORD_CAP = 50
-# icr_scan keeps bitsets of b_max/gcd + 1 bits, up to two levels of subsets.
+# Cap on bitset lengths, less one bit: icr_scan keeps bitsets of
+# b_max/gcd + 1 bits, up to two levels of subsets, and the one-row
+# min_support_exact builds one of |b - sum of the support's weights|/gcd
+# + 1 bits per support it tries.
 ICR_SCAN_CAP = 10**7
 # Work caps, so that a search too large to finish ends with CapExceeded
 # after a few seconds: bits over all subset closures of icr_scan, and
@@ -36,11 +39,18 @@ MIN_SUPPORT_POINT_CAP = 10**6
 
 
 def _reachable(value: int, coins: Sequence[int]) -> bool:
-    if value < 0:
+    """Whether value is a sum of nonnegative multiples of the positive
+    coins, on the bitset closure of the coins over their gcd; raises
+    CapExceeded when value/gcd exceeds ICR_SCAN_CAP."""
+    if value <= 0 or not coins:
+        return value == 0
+    g = math.gcd(*coins)
+    if value % g:
         return False
-    if value == 0:
-        return True
-    return bool(_closure_bitset(coins, value) >> value & 1)
+    value //= g
+    if value > ICR_SCAN_CAP:
+        raise CapExceeded(f"|b - sum of weights|/gcd = {value} exceeds cap {ICR_SCAN_CAP}")
+    return bool(_closure_bitset([c // g for c in coins], value) >> value & 1)
 
 
 def _single_row_support_feasible(weights: Sequence[int], b: int) -> bool:
@@ -108,7 +118,9 @@ def min_support_exact(
 ) -> Optional[int]:
     """Minimum support over nonnegative integer solutions of A x = b.
 
-    Complete for single-row instances. For m >= 2 the search enumerates
+    Complete for single-row instances, where it raises CapExceeded when
+    a support of one-signed weights needs a bitset of more than
+    ICR_SCAN_CAP + 1 bits. For m >= 2 the search enumerates
     supports of size up to k_max with coordinates capped at coord_cap, so
     None means "not found within the regime" rather than infeasible; it
     raises CapExceeded after MIN_SUPPORT_POINT_CAP enumerated points.

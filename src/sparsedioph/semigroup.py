@@ -60,7 +60,7 @@ from .intlinalg import (
     det_exact,
 )
 from .numtheory import _omega_upper, omega_truncated_upper
-from .sparsify import _basis_indices, _diagonal_quotients, _greedy_basis, _tau_basis
+from .sparsify import IndexSet, _basis_indices, _diagonal_quotients, _tau_basis
 
 DEFAULT_B_CAP = 10**7
 
@@ -72,9 +72,11 @@ class BoundsReport:
     `pointed_cone_bound` and `knapsack_bound` are None when their
     hypotheses fail. The pointed-cone value is reported as a diagnostic
     only; no algorithm here attains it. `thm1_semigroup_bound` is a
-    certified upper bound, exact iff `thm1_bound_exact`.
+    certified upper bound, exact iff `thm1_bound_exact`. `tau` is the
+    column basis that bound was taken for.
     """
 
+    tau: IndexSet
     adno_bound: int
     thm1_semigroup_bound: int
     pointed_cone_bound: Optional[int]
@@ -146,7 +148,7 @@ def positively_spans(A: IntMatrix) -> bool:
         return False
     if A.rows > 1:
         try:
-            _greedy_basis(A)
+            _tau_basis(A)
         except RankDeficient:
             return False
     return _spans_at_full_rank(A)
@@ -160,7 +162,9 @@ def _spans_at_full_rank(A: IntMatrix) -> bool:
     return _positive_kernel(A, range(1, A.cols + 1)) is not None
 
 
-def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[SolutionReport]:
+def solve_semigroup_posspan(
+    A: IntMatrix, b: Sequence[int], tau=None
+) -> Optional[SolutionReport]:
     """Sparse nonnegative integer solution of A x = b for positively
     spanning columns, or None when b is not in the lattice of A.
 
@@ -169,14 +173,19 @@ def solve_semigroup_posspan(A: IntMatrix, b: Sequence[int], tau) -> Optional[Sol
     vector that is positive on gamma and nonzero on at most m further
     columns (one phase-I LP, or its closed form when m = 1). The support
     stays within |gamma| + m <= 2m + omega_truncated(delta, m).
+
+    `tau` defaults to `first_nonsingular_basis(A)`: its scan, which
+    raises RankDeficient first, shows full row rank for the spanning test
+    and builds the basis the lift starts from. A given tau is validated
+    after the spanning test. The report names the tau it used.
     """
-    return _solve_posspan(A, b, tau, None)
-
-
-def _solve_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
-    # solve_semigroup_posspan. `basis` is None, or the canonical basis of
-    # the default tau from the greedy scan, which has shown full row rank.
-    if not (positively_spans(A) if basis is None else _spans_at_full_rank(A)):
+    basis = None
+    if tau is None:
+        tau, basis = _tau_basis(A)
+        spans = _spans_at_full_rank(A)
+    else:
+        spans = positively_spans(A)
+    if not spans:
         raise NotPositivelySpanning("columns do not positively span R^m")
     if A.rows == 1:
         return _lift_row(A, b, tau, _row_chain(A.row(0)))
@@ -208,6 +217,7 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Soluti
         bound=A.rows + cert.bound,
         bound_name=BOUND_POSITIVE_SPAN,
         bound_exact=cert.bound_exact,
+        tau=tau,
     )
 
 
@@ -354,6 +364,7 @@ def _lift_row(A: IntMatrix, b: Sequence[int], tau, chain) -> Optional[SolutionRe
         bound=2 + omega_1,
         bound_name=BOUND_POSITIVE_SPAN,
         bound_exact=exact,
+        tau=tau,
     )
 
 
@@ -564,37 +575,31 @@ def sparsity_bounds(
     """Evaluate every applicable sparsity bound for A x = b, x >= 0.
 
     `tau` defaults to the lexicographically first nonsingular column
-    basis. The pointed-cone bound is computed only when the cone of
-    columns is full-dimensional and pointed, no column is zero, and the
-    designated column (default: first that passes the test) spans an
-    extreme ray. Raises DimensionMismatch when `extreme_ray_index` is not
-    a column index in 1..n or tau is not a set of m column indices, and
-    SingularBasis when the columns of tau are dependent.
+    basis, and the report names the tau it used. The pointed-cone bound
+    is computed only when the cone of columns is full-dimensional and
+    pointed, no column is zero, and the designated column (default: first
+    that passes the test) spans an extreme ray. Raises, in this order,
+    DimensionMismatch when `extreme_ray_index` is not a column index in
+    1..n, RankDeficient when A lacks full row rank, DimensionMismatch
+    when tau is not a set of m column indices, and SingularBasis when the
+    columns of tau are dependent.
+
+    A A^T is formed once, from row dot products, and the pointed-cone
+    bound's B B^T is read off it; a row of one sign shows the cone
+    pointed with no LP (`_is_pointed_cone`).
     """
-    return _sparsity_bounds(A, tau, None, extreme_ray_index)
-
-
-def _sparsity_bounds(
-    A: IntMatrix, tau, basis, extreme_ray_index: Optional[int]
-) -> BoundsReport:
-    # sparsity_bounds. `basis` is None, or the canonical basis of the
-    # default tau from the greedy scan, which has shown full row rank.
-    # A A^T is formed once, from row dot products, and the pointed-cone
-    # bound's B B^T is read off it; a row of one sign shows the cone
-    # pointed with no LP (`_is_pointed_cone`).
     m, n = A.rows, A.cols
     if extreme_ray_index is not None and not 1 <= extreme_ray_index <= n:
         raise DimensionMismatch(f"extreme ray index {extreme_ray_index} is outside 1..{n}")
-    if basis is None:
-        # The scan tests the rank before tau is looked at, and its basis
-        # serves tau when tau is the default.
-        try:
-            first, basis = _greedy_basis(A)
-        except RankDeficient:
-            raise RankDeficient("bounds need a full-row-rank matrix") from None
-        tau = first if tau is None else _basis_indices(A, tau)
-        if tau != first:
-            basis = _tau_basis(A, tau)[1]
+    # The scan tests the rank before tau is looked at, and its basis
+    # serves tau when tau is the default.
+    try:
+        first, basis = _tau_basis(A)
+    except RankDeficient:
+        raise RankDeficient("bounds need a full-row-rank matrix") from None
+    tau = first if tau is None else _basis_indices(A, tau)
+    if tau != first:
+        basis = _tau_basis(A, tau)[1]
     # The canonical basis of all columns, grown from tau's: g is its
     # determinant, and delta the product of the diagonal quotients.
     full = functools.reduce(
@@ -632,6 +637,7 @@ def _sparsity_bounds(
             if q_squared > 0:
                 pointed = m + _floor_log2_sqrt(q_squared // (g * g))
     return BoundsReport(
+        tau=tau,
         adno_bound=adno,
         thm1_semigroup_bound=2 * m + omega_m,
         pointed_cone_bound=pointed,

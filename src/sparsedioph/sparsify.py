@@ -66,17 +66,33 @@ def _basis_indices(A: IntMatrix, tau) -> IndexSet:
     return tau
 
 
-def _tau_basis(A: IntMatrix, tau) -> tuple[IndexSet, list[IntVector]]:
-    """Validated basis tau and the canonical basis of its columns.
+def _tau_basis(A: IntMatrix, tau=None) -> tuple[IndexSet, list[IntVector]]:
+    """Validated basis tau and the canonical basis of its columns. A tau
+    of None means `first_nonsingular_basis`, whose scan builds that basis
+    on the way.
 
-    Raises DimensionMismatch as `_basis_indices` does, and SingularBasis
-    when the columns of tau are dependent.
+    Raises RankDeficient when the default tau does not exist,
+    DimensionMismatch as `_basis_indices` does, and SingularBasis when the
+    columns of a given tau are dependent.
     """
-    tau = _basis_indices(A, tau)
-    basis = hnf_basis((A.column(i - 1) for i in tau), A.rows)
+    if tau is not None:
+        tau = _basis_indices(A, tau)
+        basis = hnf_basis((A.column(i - 1) for i in tau), A.rows)
+        if len(basis) < A.rows:
+            raise SingularBasis(f"columns {tau} are linearly dependent")
+        return tau, basis
+    kept: list[int] = []
+    basis = []
+    for j in range(A.cols):
+        if len(basis) == A.rows:
+            break
+        grown = _hnf_insert(basis, A.column(j))
+        if len(grown) > len(basis):
+            kept.append(j + 1)
+            basis = grown
     if len(basis) < A.rows:
-        raise SingularBasis(f"columns {tau} are linearly dependent")
-    return tau, basis
+        raise RankDeficient("no nonsingular column basis exists")
+    return tuple(kept), basis
 
 
 def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
@@ -85,30 +101,12 @@ def first_nonsingular_basis(A: IntMatrix) -> IndexSet:
     Linearly independent column sets form a matroid, whose
     lexicographically first basis is the greedy one: scan the columns in
     index order and keep each column that raises the rank of the columns
-    kept before it.
+    kept before it. Raises RankDeficient when A has no such subset.
     """
-    return _greedy_basis(A)[0]
+    return _tau_basis(A)[0]
 
 
-def _greedy_basis(A: IntMatrix) -> tuple[IndexSet, list[IntVector]]:
-    """`first_nonsingular_basis` and the canonical basis of its columns,
-    which the scan has built on the way."""
-    m = A.rows
-    kept: list[int] = []
-    basis: list[tuple[int, ...]] = []
-    for j in range(A.cols):
-        if len(basis) == m:
-            break
-        grown = _hnf_insert(basis, A.column(j))
-        if len(grown) > len(basis):
-            kept.append(j + 1)
-            basis = grown
-    if len(basis) < m:
-        raise RankDeficient("no nonsingular column basis exists")
-    return tuple(kept), basis
-
-
-def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
+def sparsify(A: IntMatrix, tau=None) -> SparsifyCertificate:
     """Find gamma containing tau with the columns of A_gamma spanning the
     same lattice as A, within the truncated-omega cardinality bound.
 
@@ -127,9 +125,13 @@ def sparsify(A: IntMatrix, tau) -> SparsifyCertificate:
     which is lower triangular with positive pivots, and gcd(A) that of
     A's; no determinant is computed separately. delta is the product of
     the m diagonal quotients, and the bound is taken over them, one
-    cofactor search per quotient. Raises DimensionMismatch unless tau is
-    a strictly increasing set of m indices in 1..n, and SingularBasis
-    when its columns are dependent.
+    cofactor search per quotient.
+
+    `tau` defaults to `first_nonsingular_basis(A)`, whose scan also
+    builds tau's basis; the certificate names the tau it used. Raises
+    RankDeficient when that default does not exist, DimensionMismatch
+    unless a given tau is a strictly increasing set of m indices in 1..n,
+    and SingularBasis when its columns are dependent.
     """
     tau, basis = _tau_basis(A, tau)
     return _sparsify(A, tau, _suffix_chain(A, tau, basis))

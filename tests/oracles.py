@@ -52,7 +52,6 @@ from sparsedioph import (
     as_vector,
     det_exact,
     factorize,
-    gcd_maximal_minors,
     hnf_basis,
     reduce_knapsack_support,
 )
@@ -231,7 +230,7 @@ def verify_tightness(A: IntMatrix, tau, max_columns: int = EXHAUSTIVE_COLUMN_CAP
         raise TooLargeForExhaustive(f"{n} columns > cap {max_columns}")
     tau, det_tau = basis_det(A, tau)
     tau0 = [i - 1 for i in tau]
-    g = gcd_maximal_minors(A)
+    g = minors_gcd(A)
     bound = m + omega_truncated(abs(det_tau) // g, m)
     rest = [j for j in range(n) if j not in tau0]
     for size in range(len(rest) + 1):
@@ -324,6 +323,10 @@ def primary_summands(M: IntMatrix) -> int:
     if d == 0:
         raise NonPositive("a singular matrix has an infinite cyclic summand")
     return sum(M.rows - rank_mod_p(rows, p) for p, _ in trial_factorize(d))
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def random_matrix(rng, m: int, n: int, lo: int, hi: int) -> IntMatrix:

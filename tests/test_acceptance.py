@@ -13,7 +13,6 @@ from sparsedioph import (
     IntMatrix,
     RankDeficient,
     det_exact,
-    gcd_maximal_minors,
     icr_scan,
     min_support_exact,
     reduce_knapsack_support,
@@ -49,7 +48,7 @@ def test_criterion_1_sparsify_bound_suite():
         assert set(tau) <= set(cert.gamma)
         assert lattice_equal(A, A.take_columns([i - 1 for i in cert.gamma]))
         delta = abs(det_exact(A.take_columns([i - 1 for i in tau])))
-        delta //= gcd_maximal_minors(A)
+        delta //= minors_gcd(A)
         assert len(cert.gamma) <= m + omega_truncated(delta, m)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -70,7 +69,7 @@ def test_criterion_3_gcd_oracle_equivalence():
         m = rng.randint(1, 3)
         n = rng.randint(m, 7)
         A = random_full_row_rank(rng, m, n, -9, 9)
-        assert gcd_maximal_minors(A) == minors_gcd(A)
+        assert sparsity_bounds(A).gcd_A == minors_gcd(A)
     print("PASS criterion 3: HNF gcd equals enumerated minor gcd on 200 instances")
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -441,6 +442,21 @@ def test_default_tau_basis_is_handed_to_the_solver(monkeypatch, argv):
     assert code == 0 and "status = solved" in out
     assert sizes.count(0) == 1
 
+def test_cli_calls_only_public_solvers():
+    # The CLI reaches the solvers through their public functions, so the
+    # API is tested on the path users run.
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("sparsify", "diophsolve", "semigroup")
+        for alias in node.names
+    ]
+    assert {module for module, _ in imported} == {"sparsify", "diophsolve", "semigroup"}
+    assert [name for _, name in imported if name.startswith("_")] == []
+
+
 def test_recheck_inserts_gamma_only(monkeypatch):
     # The recheck builds gamma's basis and reduces every other column on
     # it, without inserting it.
@@ -468,7 +484,6 @@ def test_recheck_catches_a_dropped_column(monkeypatch, tau):
         return drop
 
     monkeypatch.setattr(cli, "sparsify", dropping(cli.sparsify))
-    monkeypatch.setattr(cli, "_sparsify", dropping(cli._sparsify))
     with pytest.raises(AssertionError, match="sparsify returned columns that change the lattice"):
         invoke(["sparsify", "--matrix", "6 10 15", *tau])
 

@@ -81,6 +81,7 @@ CASES = {
     "bounds-negative-row": (["bounds", "--matrix", "-3 -5 -7; 2 0 1"], {}, {}),
     "worst-case-one-row": (["worst-case", "--m", "1", "--delta", "30"], {}, {}),
     "oracle-two-rows": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "2 3"], {}, {}),
+    "oracle-one-row-below-cap": (["oracle", "--matrix", "3 5", "--rhs", "10000000"], {}, {}),
     "icr-scan-three": (["icr-scan", "--a", "6 10 15", "--b-max", "60"], {}, {}),
     "factor-one": (["factor", "1"], {}, {}),
     "factor-big": (["factor", str(2**80 * 3**5)], {}, {}),
@@ -102,6 +103,7 @@ CASES = {
     "knapsack-cap-env": (["knapsack", "--positive", "--a", "2 3", "--b", "999999"],
                          {"SPARSEDIOPH_B_CAP": "10"}, {}),
     "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {}, {"ICR_SCAN_CAP": 40}),
+    "oracle-one-row-cap": (["oracle", "--matrix", "3 5", "--rhs", "100000000000000"], {}, {}),
     "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"],
                       {}, {}),
     # Input errors.

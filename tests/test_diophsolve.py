@@ -12,7 +12,9 @@ from sparsedioph import (
     sparsify,
 )
 from oracles import (
+    identity,
     lattice_member_transform,
+    minors_gcd,
     perm_det,
     random_full_row_rank,
     random_nonsingular_tau,
@@ -55,6 +57,16 @@ def test_matches_the_reference_membership_and_sparsify(instance):
     assert report.support_size <= report.bound
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_default_tau_is_the_first_nonsingular_basis(instance):
+    A, _, b = instance
+    tau = first_nonsingular_basis(A)
+    report = solve_sparse_lattice(A, b)
+    assert report == solve_sparse_lattice(A, b, tau)
+    assert report is None or report.tau == tau
+
+
 def test_x_bits_stay_near_delta_and_b():
     # A regression pin, not a theorem: on these seeded instances the
     # canonical x has at most bits(delta) + bits(max |b|) bits, where an
@@ -89,7 +101,7 @@ def test_single_equation_sparse_support():
 
 
 def test_identity_zero_rhs():
-    A = IntMatrix.identity(3)
+    A = identity(3)
     report = solve_sparse_lattice(A, (0, 0, 0), (1, 2, 3))
     assert report.x == (0, 0, 0)
     assert report.support_size == 0
@@ -119,10 +131,10 @@ def test_random_instances_respect_bounds():
         assert A.mat_vec(report.x) == b
         assert report.support_size <= report.bound
         # The truncated-omega bound is never worse than the log2 bound.
-        from sparsedioph import det_exact, gcd_maximal_minors
+        from sparsedioph import det_exact
 
         delta = abs(det_exact(A.take_columns([i - 1 for i in tau])))
-        delta //= gcd_maximal_minors(A)
+        delta //= minors_gcd(A)
         log_bound = m + (delta.bit_length() - 1)
         assert report.support_size <= log_bound
     assert solved > 20

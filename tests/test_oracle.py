@@ -15,6 +15,7 @@ from sparsedioph import (
 from sparsedioph import oracle
 from oracles import (
     icr_scan_from_scratch,
+    identity,
     knapsack_min_support_dfs,
     random_full_row_rank,
     random_nonsingular_tau,
@@ -29,7 +30,7 @@ class TestMinSupportExact:
         assert min_support_exact(IntMatrix.from_rows([[2, 3]]), (5,)) == 2
 
     def test_zero_rhs(self):
-        assert min_support_exact(IntMatrix.identity(3), (0, 0, 0)) == 0
+        assert min_support_exact(identity(3), (0, 0, 0)) == 0
 
     def test_infeasible_single_row(self):
         assert min_support_exact(IntMatrix.from_rows([[2, 4]]), (3,)) is None
@@ -65,7 +66,7 @@ class TestMinSupportExact:
             min_support_exact(IntMatrix.from_rows([[1, 2]]), (1, 2))
 
     def test_caps_must_be_in_range(self):
-        one_row, two_rows = IntMatrix.from_rows([[1, 2]]), IntMatrix.identity(2)
+        one_row, two_rows = IntMatrix.from_rows([[1, 2]]), identity(2)
         with pytest.raises(NonPositive, match="k_max must be nonnegative, got -1"):
             min_support_exact(one_row, (5,), k_max=-1)
         with pytest.raises(NonPositive, match="coord_cap must be positive, got 0"):
@@ -87,6 +88,22 @@ class TestMinSupportExact:
         # Single-row instances are a complete search and take no points.
         monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
         assert min_support_exact(IntMatrix.from_rows([[2, 3]]), (5,)) == 2
+
+    def test_one_row_bitset_cap(self, monkeypatch):
+        # The bitset for one support has |b - sum of its weights|/gcd + 1
+        # bits; above ICR_SCAN_CAP the search is undetermined.
+        with pytest.raises(CapExceeded, match=r"/gcd = 19999999999999 exceeds cap 10000000$"):
+            min_support_exact(IntMatrix.from_rows([[3, 5]]), (10**14,))
+        monkeypatch.setattr(oracle, "ICR_SCAN_CAP", 20)
+        row = IntMatrix.from_rows([[5, 3]])
+        # Support {5}: (105 - 5)/5 = 20 is at the cap.
+        assert min_support_exact(row, (105,)) == 1
+        with pytest.raises(CapExceeded, match="/gcd = 21 exceeds cap 20$"):
+            min_support_exact(row, (110,))
+        # Neither weight alone divides what is left of 1001, so only the
+        # support {5, 3} needs a bitset.
+        with pytest.raises(CapExceeded, match="/gcd = 993 exceeds cap 20$"):
+            min_support_exact(row, (1001,))
 
     def test_never_exceeds_solver_support(self):
         rng = random.Random(19)

@@ -20,7 +20,6 @@ from sparsedioph import (
     RankDeficient,
     SingularBasis,
     first_nonsingular_basis,
-    gcd_maximal_minors,
     kernel_vector_pigeonhole,
     min_support_exact,
     positively_spans,
@@ -34,6 +33,7 @@ from sparsedioph import (
 from sparsedioph.oracle import _reachable
 from oracles import (
     basic_feasible_point_fraction,
+    identity,
     knapsack_min_support_dfs,
     minors_gcd,
     omega,
@@ -88,7 +88,7 @@ def spanning_instances(draw):
 class TestPositivelySpans:
     def test_examples(self):
         assert positively_spans(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]]))
-        assert not positively_spans(IntMatrix.identity(2))
+        assert not positively_spans(identity(2))
         assert positively_spans(IntMatrix.from_rows([[3, -5]]))
 
     def test_rank_deficient_never_spans(self):
@@ -154,7 +154,16 @@ class TestSolveSemigroupPosspan:
 
     def test_not_positively_spanning(self):
         with pytest.raises(NotPositivelySpanning):
-            solve_semigroup_posspan(IntMatrix.identity(2), (1, 1), (1, 2))
+            solve_semigroup_posspan(identity(2), (1, 1), (1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_instances())
+    def test_default_tau_is_the_first_nonsingular_basis(self, instance):
+        A, b = instance
+        tau = first_nonsingular_basis(A)
+        report = solve_semigroup_posspan(A, b)
+        assert report == solve_semigroup_posspan(A, b, tau)
+        assert report.tau == tau
 
     def test_infeasible_rhs(self):
         A = IntMatrix.from_rows([[2, -4]])
@@ -604,9 +613,25 @@ class TestSparsityBounds:
 
     def test_identity(self):
         for m in (1, 2, 3):
-            report = sparsity_bounds(IntMatrix.identity(m))
+            report = sparsity_bounds(identity(m))
             assert report.adno_bound == m
             assert report.thm1_semigroup_bound == 2 * m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_default_tau_is_the_first_nonsingular_basis(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m, 5))
+        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        A = IntMatrix.from_rows(rows)
+        try:
+            tau = first_nonsingular_basis(A)
+        except RankDeficient:
+            assume(False)
+        report = sparsity_bounds(A)
+        assert report == sparsity_bounds(A, tau)
+        assert report.tau == tau
 
     def test_composite_row(self):
         report = sparsity_bounds(IntMatrix.from_rows([[6, 10, 15]]))
@@ -684,20 +709,22 @@ class TestSparsityBounds:
 
     def test_no_matrix_product(self, monkeypatch):
         # A A^T comes from row dot products, and B B^T = A A^T - c c^T for
-        # B = A without the designated column c.
-        calls = []
-        true_matmul = IntMatrix.matmul
-        monkeypatch.setattr(IntMatrix, "matmul",
-                            lambda self, other: calls.append(other) or true_matmul(self, other))
+        # B = A without the designated column c: one determinant of each,
+        # and no product of matrices.
+        dets = []
+        true_det = semigroup.det_exact
+        monkeypatch.setattr(semigroup, "det_exact", lambda M: dets.append(M) or true_det(M))
         for rows in ([[1, 2, 3], [4, 5, 7]], [[-3, -5, -7], [2, 0, 1]], [[3, 5, 7]],
                      [[2, 0, 4], [0, 2, 2]], [[1, 3, 2, 4], [2, 1, 5, 1], [1, 1, 1, 3]]):
             A = IntMatrix.from_rows(rows)
-            g = gcd_maximal_minors(A)
+            g = minors_gcd(A)
             for j in range(1, A.cols + 1):
+                dets.clear()
                 bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound
+                assert len(dets) <= 2
+                assert all(M.rows == M.cols == A.rows for M in dets)
                 if bound is not None:
                     assert bound == pointed_cone_bound_enumerated(A, j, g)
-        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -736,7 +763,7 @@ class TestSparsityBounds:
         # with its last column scaled by 2 appended.
         def check_every_ray(A):
             default = sparsity_bounds(A).pointed_cone_bound
-            g = gcd_maximal_minors(A)
+            g = minors_gcd(A)
             extreme = []
             for j in range(1, A.cols + 1):
                 bound = sparsity_bounds(A, extreme_ray_index=j).pointed_cone_bound

@@ -15,14 +15,15 @@ from sparsedioph import (
     SingularBasis,
     det_exact,
     first_nonsingular_basis,
-    gcd_maximal_minors,
     sparsify,
     worst_case_instance,
 )
 from oracles import (
     TooLargeForExhaustive,
     first_nonsingular_basis_lex,
+    identity,
     lattice_equal,
+    minors_gcd,
     omega_truncated,
     random_full_row_rank,
     random_nonsingular_tau,
@@ -53,7 +54,7 @@ class TestSparsify:
         assert cert.delta == 4
 
     def test_identity_needs_nothing(self):
-        cert = sparsify(IntMatrix.identity(3), (1, 2, 3))
+        cert = sparsify(identity(3), (1, 2, 3))
         assert cert.gamma == (1, 2, 3)
         assert cert.bound == 3
         assert cert.delta == 1
@@ -71,7 +72,7 @@ class TestSparsify:
             first_nonsingular_basis(A)
 
     def test_bad_tau_rejected(self):
-        A = IntMatrix.identity(2)
+        A = identity(2)
         with pytest.raises(DimensionMismatch):
             sparsify(A, (1,))
         with pytest.raises(DimensionMismatch):
@@ -89,7 +90,7 @@ class TestSparsify:
             cert = sparsify(A, tau)
             assert set(tau) <= set(cert.gamma)
             delta = abs(det_exact(A.take_columns([i - 1 for i in tau])))
-            delta //= gcd_maximal_minors(A)
+            delta //= minors_gcd(A)
             assert cert.delta == delta
             assert cert.bound == m + omega_truncated(delta, m)
             assert len(cert.gamma) <= cert.bound
@@ -141,13 +142,14 @@ class TestSparsify:
         assert calls == []
 
     def test_inserts_into_the_basis_of_z_m_do_no_work(self, monkeypatch):
-        # The suffix chain reaches Z^2 at its first step; from then on
-        # every insert returns its basis as is, and only the final check
-        # inserts into tau's basis again.
+        # The scan inserts the columns up to tau's last, and the suffix
+        # chain reaches Z^2 at its first step; from then on every insert
+        # returns its basis as is, and only the final check inserts into
+        # tau's basis again.
         rng = random.Random(61)
         A = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(60)] for _ in range(2)])
-        assert gcd_maximal_minors(A) == 1
-        tau, basis = sparsify_module._greedy_basis(A)
+        assert minors_gcd(A) == 1
+        tau = first_nonsingular_basis(A)
         expected = sparsify(A, tau)
         working = []
         true_insert = sparsify_module._hnf_insert
@@ -159,9 +161,8 @@ class TestSparsify:
             return grown
 
         monkeypatch.setattr(sparsify_module, "_hnf_insert", counting)
-        chain = sparsify_module._suffix_chain(A, tau, basis)
-        assert sparsify_module._sparsify(A, tau, chain) == expected
-        assert len(working) <= 4
+        assert sparsify(A) == expected
+        assert len(working) <= tau[-1] + 4
 
 
 @st.composite
@@ -203,12 +204,12 @@ class TestAgainstReferences:
         tau = _outcome(first_nonsingular_basis_lex, A)
         assert _outcome(first_nonsingular_basis, A) == tau
         if tau[0] is not RankDeficient:
-            assert sparsify(A, tau) == sparsify_membership_greedy(A, tau)
-            # The scan's basis is that of tau's columns, so the core
-            # started from it (the CLI's default path) gives the same.
-            scanned = sparsify_module._greedy_basis(A)
-            chain = sparsify_module._suffix_chain(A, *scanned)
-            assert sparsify_module._sparsify(A, scanned[0], chain) == sparsify(A, tau)
+            cert = sparsify(A, tau)
+            assert cert == sparsify_membership_greedy(A, tau)
+            # The default tau starts from the scan's basis, which is that
+            # of tau's columns, so it gives the same certificate.
+            assert sparsify(A) == cert
+            assert cert.tau == tau
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -259,8 +260,8 @@ class TestWorstCaseInstance:
             for delta in (2, 12, 36, 60, 128, 180):
                 A = worst_case_instance(m, delta)
                 assert A.cols == m + omega_truncated(delta, m)
-                assert gcd_maximal_minors(A) == 1
-                assert lattice_equal(A, IntMatrix.identity(m))
+                assert minors_gcd(A) == 1
+                assert lattice_equal(A, identity(m))
                 block = A.take_columns(range(m))
                 assert abs(det_exact(block)) == delta
 
@@ -274,7 +275,7 @@ class TestVerifyTightness:
         assert verify_tightness(IntMatrix.from_rows([[4, 6, 9, 15]]), (1,))
 
     def test_identity(self):
-        assert verify_tightness(IntMatrix.identity(2), (1, 2))
+        assert verify_tightness(identity(2), (1, 2))
 
     def test_not_tight_when_bound_is_slack(self):
         # delta = 6 gives bound 1 + omega(6) = 3, but {1, 2} already spans.
