@@ -150,6 +150,19 @@ CASES = {
     "bounds-rank-deficient-tau": (["bounds", "--matrix", RANK_1, "--tau", "1"], {}, {}),
     "bounds-rank-deficient-extreme-ray": (
         ["bounds", "--matrix", RANK_1, "--extreme-ray", "9"], {}, {}),
+    # Columns that do not positively span R^m: a lattice solution that is
+    # already nonnegative, one that needs a lift, a short rhs, a b outside
+    # the lattice and a dependent tau.
+    "solve-semigroup-identity-nonnegative": (
+        ["solve-semigroup", "--matrix", "1 0; 0 1", "--rhs", "1 1"], {}, {}),
+    "solve-semigroup-identity-needs-lift": (
+        ["solve-semigroup", "--matrix", "1 0; 0 1", "--rhs", "-1 1"], {}, {}),
+    "solve-semigroup-identity-rhs-length": (
+        ["solve-semigroup", "--matrix", "1 0; 0 1", "--rhs", "1"], {}, {}),
+    "solve-semigroup-not-spanning-outside-lattice": (
+        ["solve-semigroup", "--matrix", "2 0; 0 2", "--rhs", "1 1"], {}, {}),
+    "solve-semigroup-not-spanning-dependent-tau": (
+        ["solve-semigroup", "--matrix", "1 0 0; 0 1 0", "--rhs", "1 1", "--tau", "1 3"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
     "usage-unknown-command": (["no-such-command"], {}, {}),
