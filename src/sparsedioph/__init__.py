@@ -42,7 +42,6 @@ from .oracle import icr_scan, min_support_exact
 from .semigroup import (
     BoundsReport,
     kernel_vector_pigeonhole,
-    positively_spans,
     reduce_knapsack_support,
     solve_knapsack_mixed,
     solve_knapsack_positive,
@@ -89,7 +88,6 @@ __all__ = [
     "lattice_member",
     "min_support_exact",
     "omega_truncated_upper",
-    "positively_spans",
     "reduce_knapsack_support",
     "solve_knapsack_mixed",
     "solve_knapsack_positive",

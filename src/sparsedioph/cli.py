@@ -201,7 +201,8 @@ def build_parser() -> _Parser:
     _add_matrix_args(p, rhs=True)
     p.add_argument("--tau", metavar="INTS")
 
-    p = sub.add_parser("solve-semigroup", help="sparse nonnegative solution, positively spanning columns")
+    p = sub.add_parser("solve-semigroup",
+                       help="sparse nonnegative solution; a lift needs positively spanning columns")
     _add_matrix_args(p, rhs=True)
     p.add_argument("--tau", metavar="INTS")
 

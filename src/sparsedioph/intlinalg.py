@@ -76,9 +76,6 @@ class IntMatrix:
         vals = as_vector(values)
         return cls(1, len(vals), vals)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> IntVector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 

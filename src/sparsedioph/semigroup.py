@@ -6,10 +6,12 @@ Three solving regimes live here, in decreasing generality:
   positively span R^m; the semigroup then coincides with the lattice, and
   a sparse lattice solution on gamma is pushed into the nonnegative
   orthant by one integer kernel vector, positive on gamma and nonzero on
-  at most m more columns, taken from a single phase-I LP. On one row every
-  step has a closed form: gamma comes from suffix gcds, the solution on it
-  from gamma's chain of gcds, and the kernel vector is the point that
-  phase-I reaches in one pivot.
+  at most m more columns, taken from a single phase-I LP. That vector
+  exists iff the columns positively span, so its LP is also the spanning
+  test, and it runs only when the lattice solution has a negative entry.
+  On one row every step has a closed form: gamma comes from suffix gcds,
+  the solution on it from gamma's chain of gcds, and the kernel vector is
+  the point that phase-I reaches in one pivot.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
   it lifts from every singleton basis in that closed form and keeps the
   sparsest result.
@@ -123,7 +125,10 @@ def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
 
     y is 1_ones plus a basic feasible point z / d of
     {z >= 0 : A z = -A 1_ones}, which has at most rank(A) nonzeros; the
-    integer vector d * y = z + d * 1_ones is divided by its content.
+    integer vector d * y = z + d * 1_ones is divided by its content. When
+    `ones` holds a column basis, y exists iff the columns positively span
+    R^m: y puts minus each basis column in the cone of the others, and
+    conversely the cone is all of R^m, so it holds -A 1_ones.
     """
     rows = A.to_rows()
     point = basic_feasible_point(rows, [-sum(row[j - 1] for j in ones) for row in rows])
@@ -136,37 +141,11 @@ def _positive_kernel(A: IntMatrix, ones: Sequence[int]) -> Optional[list[int]]:
     return [v // content for v in y]
 
 
-def positively_spans(A: IntMatrix) -> bool:
-    """Whether the columns of A positively span all of R^m.
-
-    Equivalent to: A has full row rank and some rational y >= 1 satisfies
-    A y = 0. One row does iff it has entries of both signs. Otherwise the
-    greedy basis scan, which stops at rank m, tests the rank, and exact
-    phase-I simplex decides whether y exists.
-    """
-    if A.cols == 0:
-        return False
-    if A.rows > 1:
-        try:
-            _tau_basis(A)
-        except RankDeficient:
-            return False
-    return _spans_at_full_rank(A)
-
-
-def _spans_at_full_rank(A: IntMatrix) -> bool:
-    # positively_spans for an A with columns and, on two or more rows,
-    # full row rank.
-    if A.rows == 1:
-        return min(A.row(0)) < 0 < max(A.row(0))
-    return _positive_kernel(A, range(1, A.cols + 1)) is not None
-
-
 def solve_semigroup_posspan(
     A: IntMatrix, b: Sequence[int], tau=None
 ) -> Optional[SolutionReport]:
-    """Sparse nonnegative integer solution of A x = b for positively
-    spanning columns, or None when b is not in the lattice of A.
+    """Sparse nonnegative integer solution of A x = b, or None when b is
+    not in the lattice of A.
 
     Takes the sparse lattice solution x* supported on gamma and, when it
     has negative entries, adds the smallest multiple of one integer kernel
@@ -174,31 +153,31 @@ def solve_semigroup_posspan(
     columns (one phase-I LP, or its closed form when m = 1). The support
     stays within |gamma| + m <= 2m + omega_truncated(delta, m).
 
-    `tau` defaults to `first_nonsingular_basis(A)`: its scan, which
-    raises RankDeficient first, shows full row rank for the spanning test
-    and builds the basis the lift starts from. A given tau is validated
-    after the spanning test. The report names the tau it used.
+    Positive spanning is tested only where the lift needs it: the kernel
+    vector exists iff the columns positively span R^m, and
+    NotPositivelySpanning is raised when it does not. A b outside the
+    lattice is outside the semigroup, and an x* with no negative entry is
+    a solution, whether or not the columns span, so neither needs the
+    test.
+
+    `tau` defaults to `first_nonsingular_basis(A)`, and the report names
+    the tau it used. Errors on tau come first, as in `sparsify`, then
+    DimensionMismatch when b does not have m entries, then
+    NotPositivelySpanning.
     """
-    basis = None
-    if tau is None:
-        tau, basis = _tau_basis(A)
-        spans = _spans_at_full_rank(A)
-    else:
-        spans = positively_spans(A)
-    if not spans:
-        raise NotPositivelySpanning("columns do not positively span R^m")
     if A.rows == 1:
+        # One row needs tau but no lattice basis: `_lift_row` checks tau.
+        if tau is None:
+            tau = _tau_basis(A)[0]
         return _lift_row(A, b, tau, _row_chain(A.row(0)))
-    if basis is None:
-        tau, basis = _tau_basis(A, tau)
-    return _lift_posspan(A, b, tau, basis)
+    return _lift_posspan(A, b, *_tau_basis(A, tau))
 
 
 def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
-    # solve_semigroup_posspan after its spanning check, for a validated
-    # tau whose columns have the canonical basis `basis`. A b outside the
-    # lattice of A ends on A's canonical basis, before sparsify's forward
-    # pass, its bound and the solve on gamma.
+    # solve_semigroup_posspan for a validated tau whose columns have the
+    # canonical basis `basis`. A b outside the lattice of A ends on A's
+    # canonical basis, before sparsify's forward pass, its bound and the
+    # solve on gamma.
     found = _gamma_solution(A, b, tau, basis)
     if found is None:
         return None
@@ -206,7 +185,7 @@ def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[Soluti
     if any(v < 0 for v in x):
         kernel = _positive_kernel(A, cert.gamma)
         if kernel is None:
-            raise AssertionError("columns fail to positively span")
+            raise NotPositivelySpanning("columns do not positively span R^m")
         lifted = _add_kernel(
             A.to_rows(), as_vector(b), dict(enumerate(x)), dict(enumerate(kernel))
         )
@@ -247,16 +226,17 @@ def _suffix_gcds(a: Sequence[int]) -> list[int]:
 
 
 def _row_chain(a: Sequence[int]) -> tuple[list[int], int, Optional[int], Optional[int]]:
-    """What every singleton lift on the nonzero row a shares: its suffix
-    gcds `after` (`_suffix_gcds`), the tail start t, which is the first
-    0-based index j with after[j + 1] != gcd(a), and the first positive
-    and first negative index (None when there is none).
+    """What every singleton lift on the row a shares: its suffix gcds
+    `after` (`_suffix_gcds`), the tail start t, which is the first 0-based
+    index j with after[j + 1] != gcd(a) (len(a) on a zero row, which has
+    no singleton basis), and the first positive and first negative index
+    (None when there is none).
 
     after[j] divides after[j + 1], so after[j + 1] = gcd(a) exactly for
     j < t: there every later column alone spans the lattice of a.
     """
     after = _suffix_gcds(a)
-    tail = next(j for j in range(len(a)) if after[j + 1] != after[0])
+    tail = next((j for j in range(len(a)) if after[j + 1] != after[0]), len(a))
     first_pos = next((j for j, v in enumerate(a) if v > 0), None)
     first_neg = next((j for j, v in enumerate(a) if v < 0), None)
     return after, tail, first_pos, first_neg
@@ -305,7 +285,8 @@ def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], i
     kernel vector is |a_e| 1_gamma + |S| e_e over its content, and x, the
     kernel and the step stay on gamma and e. S is never 0: the last column
     kept would then be minus the sum of the others, and so in their
-    lattice.
+    lattice. No e exists iff the row has one sign, which is when it does
+    not positively span R: that raises NotPositivelySpanning.
     """
     after, tail, first_pos, first_neg = chain
     g = after[0]
@@ -325,7 +306,7 @@ def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], i
         S = sum(a[j] for j in gamma)
         e = first_neg if S > 0 else first_pos
         if e is None:
-            raise AssertionError("columns fail to positively span")
+            raise NotPositivelySpanning("columns do not positively span R^m")
         kernel = dict.fromkeys(gamma, abs(a[e]))
         kernel[e] = kernel.get(e, 0) + abs(S)
         content = math.gcd(*kernel.values())
@@ -342,7 +323,8 @@ def _dense(x: dict[int, int], n: int) -> IntVector:
 
 
 def _lift_row(A: IntMatrix, b: Sequence[int], tau, chain) -> Optional[SolutionReport]:
-    """_lift_posspan for one row, in closed form: the same report.
+    """_lift_posspan for one row, in closed form: the same report, or
+    the same error.
 
     `chain` is `_row_chain` of the row, which every singleton basis
     shares; the lift itself is `_lift_sparse`. After tau and the rhs

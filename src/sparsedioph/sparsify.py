@@ -23,11 +23,14 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidDelta, RankDeficient, SingularBasis
+from .errors import CapExceeded, DimensionMismatch, InvalidDelta, RankDeficient, SingularBasis
 from .intlinalg import IntMatrix, IntVector, _hnf_insert, hnf_basis
 from .numtheory import _omega_upper, factorize
 
 IndexSet = tuple[int, ...]
+
+# `worst_case_instance` builds no matrix with more entries than this.
+WORST_CASE_ENTRY_CAP = 10**6
 
 
 def check_index_set(indices, n: int) -> IndexSet:
@@ -196,15 +199,22 @@ def worst_case_instance(m: int, delta: int) -> IntMatrix:
     remaining omega_truncated(delta, m) columns generate the primary
     cyclic summands of Z^m modulo the lattice of B, one column per
     summand. Every gamma containing [m] that spans Z^m must keep all of
-    them.
+    them. Raises CapExceeded, before anything of size m is built, when the
+    matrix would have more than WORST_CASE_ENTRY_CAP entries.
     """
     if m < 1:
         raise DimensionMismatch(f"need m >= 1, got {m}")
     if delta < 2:
         raise InvalidDelta(f"need delta >= 2, got {delta}")
+    factors = factorize(delta).factors
+    n = m + sum(min(mult, m) for _, mult in factors)
+    if m * n > WORST_CASE_ENTRY_CAP:
+        raise CapExceeded(
+            f"a {m} x {n} matrix exceeds the cap of {WORST_CASE_ENTRY_CAP} entries"
+        )
     # The prime powers of each diagonal entry, primes increasing.
     powers: list[list[int]] = [[] for _ in range(m)]
-    for p, mult in factorize(delta).factors:
+    for p, mult in factors:
         exponents = [1] * mult if mult < m else [mult - m + 1] + [1] * (m - 1)
         for i, e in enumerate(exponents):
             powers[i].append(p**e)

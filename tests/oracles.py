@@ -29,6 +29,9 @@ The mixed-sign knapsack taken through the general positively-spanning
 lift (sparsify, a lattice solve and the phase-I LP) on every singleton
 basis, `solve_knapsack_mixed_by_lifts`, is kept as the reference for the
 closed-form sparse lifts that replaced it: same lifts, same choice.
+Positive spanning, `positively_spans`, is decided from its definition
+(a nonzero maximal minor and a y >= 1 with A y = 0 from the Fraction
+simplex); the package no longer tests it up front, only in its lift.
 The exact prime counts `omega_truncated` and `omega`, `lattice_equal` and
 the exhaustive tightness check `verify_tightness` serve only the tests'
 bound and lattice checks, so they live here; the package itself only
@@ -103,6 +106,16 @@ def minors_gcd(A: IntMatrix) -> int:
         sub = [[rows[i][j] for j in combo] for i in range(m)]
         g = math.gcd(g, perm_det(sub))
     return g
+
+
+def positively_spans(A: IntMatrix) -> bool:
+    """Whether the columns of A positively span R^m: some m x m minor is
+    nonzero (`minors_gcd`), and y = 1 + z with z >= 0 solves A y = 0,
+    which the Fraction simplex decides."""
+    if minors_gcd(A) == 0:
+        return False
+    rows = A.to_rows()
+    return basic_feasible_point_fraction(rows, [-sum(row) for row in rows]) is not None
 
 
 def omega_truncated(z: int, m: int) -> int:

@@ -433,8 +433,8 @@ def test_default_tau_basis_is_built_once(monkeypatch, argv, bases):
     ],
 )
 def test_default_tau_basis_is_handed_to_the_solver(monkeypatch, argv):
-    # Only the CLI's scan builds a basis of A's lattice from scratch; the
-    # spanning test, sparsify and the bounds report start from its basis.
+    # Only the default tau's scan builds a basis of A's lattice from
+    # scratch; sparsify and the bounds report start from its basis.
     sizes = []
     count_calls(monkeypatch, intlinalg, "_hnf_insert",
                 lambda basis, v: len(v) == 2 and sizes.append(len(basis)))

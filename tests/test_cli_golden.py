@@ -10,6 +10,7 @@ entry that changed, and review the diff:
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsedioph import cli, oracle
+from sparsedioph import cli
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 # The product of two primes above 2^45 on one diagonal entry of the basis:
@@ -34,8 +35,9 @@ FILES = {
     "bad.txt": "1 3\n6 ten 15\n",
 }
 
-# name -> (argv, environment, oracle module constants); every argv also
-# runs with --json appended unless its name starts with "usage".
+# name -> (argv, environment, module constants as {"module.NAME": value});
+# every argv also runs with --json appended unless its name starts with
+# "usage".
 CASES = {
     # The README's CLI examples.
     "readme-sparsify": (["sparsify", "--matrix", "6 10 15", "--tau", "1"], {}, {}),
@@ -102,8 +104,15 @@ CASES = {
         ["knapsack", "--positive", "--a", "2 3", "--b", "999999", "--b-cap", "10"], {}, {}),
     "knapsack-cap-env": (["knapsack", "--positive", "--a", "2 3", "--b", "999999"],
                          {"SPARSEDIOPH_B_CAP": "10"}, {}),
-    "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {}, {"ICR_SCAN_CAP": 40}),
+    "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {}, {"oracle.ICR_SCAN_CAP": 40}),
     "oracle-one-row-cap": (["oracle", "--matrix", "3 5", "--rhs", "100000000000000"], {}, {}),
+    # 2 x (2 + 2 + 1) entries for delta = 2^2 * 3 fill a cap of 10 exactly;
+    # delta = 2^2 * 3 * 5 needs one more column.
+    "worst-case-at-cap": (["worst-case", "--m", "2", "--delta", "12"], {},
+                          {"sparsify.WORST_CASE_ENTRY_CAP": 10}),
+    "worst-case-over-cap": (["worst-case", "--m", "2", "--delta", "60"], {},
+                            {"sparsify.WORST_CASE_ENTRY_CAP": 10}),
+    "worst-case-over-default-cap": (["worst-case", "--m", "1000", "--delta", "2"], {}, {}),
     "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"],
                       {}, {}),
     # Input errors.
@@ -113,8 +122,6 @@ CASES = {
         ["solve-dioph", "--matrix-file", "{tmp}/missing.txt", "--rhs", "1"], {}, {}),
     "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}, {}),
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}, {}),
-    "solve-semigroup-not-spanning": (["solve-semigroup", "--matrix", "1 2 3", "--rhs", "6"],
-                                     {}, {}),
     "solve-semigroup-one-row-zero-tau": (
         ["solve-semigroup", "--matrix", "6 0 -10 15", "--rhs", "-7", "--tau", "2"], {}, {}),
     "knapsack-bad-env": (["knapsack", "--positive", "--a", "2 3", "--b", "5"],
@@ -150,7 +157,7 @@ CASES = {
     "bounds-rank-deficient-tau": (["bounds", "--matrix", RANK_1, "--tau", "1"], {}, {}),
     "bounds-rank-deficient-extreme-ray": (
         ["bounds", "--matrix", RANK_1, "--extreme-ray", "9"], {}, {}),
-    # Columns that do not positively span R^m: a lattice solution that is
+    # Columns that do not positively span R^m: lattice solutions that are
     # already nonnegative, one that needs a lift, a short rhs, a b outside
     # the lattice and a dependent tau.
     "solve-semigroup-identity-nonnegative": (
@@ -161,6 +168,8 @@ CASES = {
         ["solve-semigroup", "--matrix", "1 0; 0 1", "--rhs", "1"], {}, {}),
     "solve-semigroup-not-spanning-outside-lattice": (
         ["solve-semigroup", "--matrix", "2 0; 0 2", "--rhs", "1 1"], {}, {}),
+    "solve-semigroup-not-spanning": (["solve-semigroup", "--matrix", "1 2 3", "--rhs", "6"],
+                                     {}, {}),
     "solve-semigroup-not-spanning-dependent-tau": (
         ["solve-semigroup", "--matrix", "1 0 0; 0 1 0", "--rhs", "1 1", "--tau", "1 3"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
@@ -189,7 +198,8 @@ def transcript(argv, env, consts, tmp, monkeypatch):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     for key, value in consts.items():
-        monkeypatch.setattr(oracle, key, value)
+        module, name = key.split(".")
+        monkeypatch.setattr(importlib.import_module(f"sparsedioph.{module}"), name, value)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run([a.replace("{tmp}", str(tmp)) for a in argv])

@@ -22,11 +22,11 @@ from sparsedioph import (
     first_nonsingular_basis,
     kernel_vector_pigeonhole,
     min_support_exact,
-    positively_spans,
     reduce_knapsack_support,
     solve_knapsack_mixed,
     solve_knapsack_positive,
     solve_semigroup_posspan,
+    solve_sparse_lattice,
     sparsify,
     sparsity_bounds,
 )
@@ -35,11 +35,13 @@ from oracles import (
     basic_feasible_point_fraction,
     identity,
     knapsack_min_support_dfs,
+    lattice_member_transform,
     minors_gcd,
     omega,
     omega_truncated,
     perm_det,
     pointed_cone_bound_enumerated,
+    positively_spans,
     solve_knapsack_mixed_by_lifts,
     solve_knapsack_positive_dp,
 )
@@ -83,19 +85,6 @@ def spanning_instances(draw):
         assume(positively_spans(A))
     c = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     return A, A.mat_vec(c)
-
-
-class TestPositivelySpans:
-    def test_examples(self):
-        assert positively_spans(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]]))
-        assert not positively_spans(identity(2))
-        assert positively_spans(IntMatrix.from_rows([[3, -5]]))
-
-    def test_rank_deficient_never_spans(self):
-        assert not positively_spans(IntMatrix.from_rows([[1, -1], [1, -1]]))
-
-    def test_all_positive_never_spans(self):
-        assert not positively_spans(IntMatrix.from_rows([[2, 3, 7]]))
 
 
 class TestPositiveKernel:
@@ -153,8 +142,56 @@ class TestSolveSemigroupPosspan:
         assert report.support_size == 0
 
     def test_not_positively_spanning(self):
+        # x* = (-1, 1) needs a lift, and the identity's cone is pointed.
         with pytest.raises(NotPositivelySpanning):
-            solve_semigroup_posspan(identity(2), (1, 1), (1, 2))
+            solve_semigroup_posspan(identity(2), (-1, 1), (1, 2))
+        with pytest.raises(NotPositivelySpanning):
+            solve_semigroup_posspan(IntMatrix.from_rows([[2, 3, 7]]), (-1,), (1,))
+        # A b that needs no lift is answered without the spanning test.
+        assert solve_semigroup_posspan(identity(2), (1, 1), (1, 2)).x == (1, 1)
+        assert solve_semigroup_posspan(IntMatrix.from_rows([[2, 0], [0, 2]]), (1, 1)) is None
+
+    def test_tau_and_rhs_errors_come_before_the_spanning_test(self):
+        with pytest.raises(SingularBasis):
+            solve_semigroup_posspan(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), (-1, 1), (1, 3))
+        with pytest.raises(SingularBasis):
+            solve_semigroup_posspan(IntMatrix.from_rows([[0, 0]]), (-1,), (1,))
+        with pytest.raises(RankDeficient):
+            solve_semigroup_posspan(IntMatrix.from_rows([[0, 0]]), (-1,))
+        with pytest.raises(DimensionMismatch):
+            solve_semigroup_posspan(identity(2), (-1,))
+        with pytest.raises(DimensionMismatch):
+            solve_semigroup_posspan(IntMatrix.from_rows([[2, 3]]), (-1, 1), (1,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_answers_agree_with_the_oracles_spanning_or_not(self, data):
+        # None iff b is outside the lattice, NotPositivelySpanning only
+        # when no y >= 1 has A y = 0, and every report is a sparse
+        # nonnegative solution.
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m, 6))
+        entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        A = IntMatrix.from_rows(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        if data.draw(st.booleans()):
+            b = A.mat_vec(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        else:
+            b = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
+        try:
+            report = solve_semigroup_posspan(A, b)
+        except RankDeficient:
+            assert minors_gcd(A) == 0
+            return
+        except NotPositivelySpanning:
+            rows = A.to_rows()
+            assert basic_feasible_point_fraction(rows, [-sum(row) for row in rows]) is None
+            assert lattice_member_transform(A, b) is not None
+            return
+        assert (report is None) == (lattice_member_transform(A, b) is None)
+        if report is not None:
+            assert all(v >= 0 for v in report.x)
+            assert A.mat_vec(report.x) == b
+            assert sum(1 for v in report.x if v) == report.support_size <= report.bound
 
     @settings(max_examples=100, deadline=None)
     @given(spanning_instances())
@@ -193,26 +230,37 @@ class TestSolveSemigroupPosspan:
             assert all(v >= 0 for v in report.x)
             assert report.support_size <= report.bound
 
-    def test_at_most_two_lps_per_solve(self, lp_calls):
-        # One LP decides positive spanning, one builds the lifting kernel
-        # vector; instances whose lattice solution is already nonnegative
-        # need only the first.
+    def test_at_most_one_lp_per_solve(self, lp_calls):
+        # The lift's LP is the only one, and it runs iff the lattice
+        # solution x* on gamma has a negative entry: never when b is
+        # outside the lattice, and never on one row, whose lift is closed.
         rng = random.Random(37)
-        lifted = 0
-        for _ in range(60):
+        seen = {"infeasible": 0, "nonnegative": 0, "lifted": 0, "not spanning": 0}
+        for _ in range(200):
             m = rng.randint(1, 3)
-            n = rng.randint(m + 1, 7)
+            n = rng.randint(m, 7)
             A = IntMatrix.from_rows(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             )
-            if not positively_spans(A):
+            if minors_gcd(A) == 0:
                 continue
             b = A.mat_vec([rng.randint(-4, 4) for _ in range(n)])
+            if rng.random() < 0.3:
+                b = tuple(v + rng.randint(-1, 1) for v in b)
+            lattice = solve_sparse_lattice(A, b)
             lp_calls[0] = 0
-            solve_semigroup_posspan(A, b, first_nonsingular_basis(A))
-            assert lp_calls[0] <= 2
-            lifted += lp_calls[0] == 2
-        assert lifted > 0
+            try:
+                solve_semigroup_posspan(A, b)
+            except NotPositivelySpanning:
+                seen["not spanning"] += 1
+            if lattice is None:
+                expected = 0
+                seen["infeasible"] += 1
+            else:
+                expected = int(m > 1 and min(lattice.x) < 0)
+                seen["lifted" if expected else "nonnegative"] += 1
+            assert lp_calls[0] == expected
+        assert min(seen.values()) > 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

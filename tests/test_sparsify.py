@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 sparsify_module = importlib.import_module("sparsedioph.sparsify")
 numtheory = importlib.import_module("sparsedioph.numtheory")
 from sparsedioph import (
+    CapExceeded,
     DimensionMismatch,
     IntMatrix,
     InvalidDelta,
@@ -254,6 +255,20 @@ class TestWorstCaseInstance:
                 calls.clear()
                 worst_case_instance(m, delta)
                 assert calls == [delta]
+
+    def test_entry_cap(self, monkeypatch):
+        # m (m + omega_truncated(delta, m)) entries: at the cap the matrix
+        # is built, above it CapExceeded comes before any list of size m.
+        assert sparsify_module.WORST_CASE_ENTRY_CAP == 10**6
+        message = "^a 1000 x 1001 matrix exceeds the cap of 1000000 entries$"
+        with pytest.raises(CapExceeded, match=message):
+            worst_case_instance(1000, 2)
+        with pytest.raises(CapExceeded):
+            worst_case_instance(10**12, 6)
+        monkeypatch.setattr(sparsify_module, "WORST_CASE_ENTRY_CAP", 10)
+        assert worst_case_instance(2, 12).cols == 5
+        with pytest.raises(CapExceeded):
+            worst_case_instance(2, 60)
 
     def test_generates_full_lattice_with_unit_gcd(self):
         for m in (1, 2, 3):
