@@ -172,6 +172,18 @@ CASES = {
                                      {}, {}),
     "solve-semigroup-not-spanning-dependent-tau": (
         ["solve-semigroup", "--matrix", "1 0 0; 0 1 0", "--rhs", "1 1", "--tau", "1 3"], {}, {}),
+    # One row with the default tau: a row of one sign whose lattice
+    # solution needs a lift, a negative row, zero columns before the
+    # basis, a zero row and an rhs of two entries.
+    "solve-semigroup-one-row-one-signed": (
+        ["solve-semigroup", "--matrix", "3 5", "--rhs", "1"], {}, {}),
+    "solve-semigroup-one-row-negative": (
+        ["solve-semigroup", "--matrix", "-4 -6 -9", "--rhs", "-13"], {}, {}),
+    "solve-semigroup-one-row-leading-zeros": (
+        ["solve-semigroup", "--matrix", "0 0 0 8 5 -12", "--rhs", "2"], {}, {}),
+    "solve-semigroup-zero-row": (["solve-semigroup", "--matrix", "0 0", "--rhs", "0"], {}, {}),
+    "solve-semigroup-one-row-rhs-length": (
+        ["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2 3"], {}, {}),
     # Usage errors and --version, which argparse writes to sys.stdout/sys.stderr.
     "usage-missing-mode": (["knapsack", "--a", "1 2", "--b", "3"], {}, {}),
     "usage-unknown-command": (["no-such-command"], {}, {}),
