@@ -9,12 +9,12 @@ Three solving regimes live here, in decreasing generality:
   at most m more columns, taken from a single phase-I LP. That vector
   exists iff the columns positively span, so its LP is also the spanning
   test, and it runs only when the lattice solution has a negative entry.
-  On one row every step has a closed form: gamma comes from suffix gcds,
-  the solution on it from gamma's chain of gcds, and the kernel vector is
-  the point that phase-I reaches in one pivot.
+  One body serves every row count.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
-  it lifts from every singleton basis in that closed form and keeps the
-  sparsest result.
+  it lifts from every singleton basis and keeps the sparsest result. On
+  one row every step has a closed form: gamma comes from suffix gcds, the
+  solution on it from gamma's chain of gcds, and the kernel vector is the
+  point that phase-I reaches in one pivot.
 * `solve_knapsack_positive` is the all-positive single-row case: the
   bitset closure of the weights decides reachability, a walk back from b
   through it rebuilds one solution, and a pigeonhole-built kernel vector
@@ -49,7 +49,6 @@ from .errors import (
     NonPositive,
     NotPositivelySpanning,
     RankDeficient,
-    SingularBasis,
 )
 from .exactlp import basic_feasible_point
 from .intlinalg import (
@@ -57,7 +56,6 @@ from .intlinalg import (
     IntVector,
     _hnf_insert,
     _lattice_det,
-    _rhs_vector,
     as_vector,
     det_exact,
 )
@@ -150,8 +148,10 @@ def solve_semigroup_posspan(
     Takes the sparse lattice solution x* supported on gamma and, when it
     has negative entries, adds the smallest multiple of one integer kernel
     vector that is positive on gamma and nonzero on at most m further
-    columns (one phase-I LP, or its closed form when m = 1). The support
-    stays within |gamma| + m <= 2m + omega_truncated(delta, m).
+    columns, from one phase-I LP. The support stays within
+    |gamma| + m <= 2m + omega_truncated(delta, m). A b outside the
+    lattice of A ends on A's canonical basis, before sparsify's forward
+    pass, its bound and the solve on gamma.
 
     Positive spanning is tested only where the lift needs it: the kernel
     vector exists iff the columns positively span R^m, and
@@ -165,19 +165,7 @@ def solve_semigroup_posspan(
     DimensionMismatch when b does not have m entries, then
     NotPositivelySpanning.
     """
-    if A.rows == 1:
-        # One row needs tau but no lattice basis: `_lift_row` checks tau.
-        if tau is None:
-            tau = _tau_basis(A)[0]
-        return _lift_row(A, b, tau, _row_chain(A.row(0)))
-    return _lift_posspan(A, b, *_tau_basis(A, tau))
-
-
-def _lift_posspan(A: IntMatrix, b: Sequence[int], tau, basis) -> Optional[SolutionReport]:
-    # solve_semigroup_posspan for a validated tau whose columns have the
-    # canonical basis `basis`. A b outside the lattice of A ends on A's
-    # canonical basis, before sparsify's forward pass, its bound and the
-    # solve on gamma.
+    tau, basis = _tau_basis(A, tau)
     found = _gamma_solution(A, b, tau, basis)
     if found is None:
         return None
@@ -226,17 +214,16 @@ def _suffix_gcds(a: Sequence[int]) -> list[int]:
 
 
 def _row_chain(a: Sequence[int]) -> tuple[list[int], int, Optional[int], Optional[int]]:
-    """What every singleton lift on the row a shares: its suffix gcds
-    `after` (`_suffix_gcds`), the tail start t, which is the first 0-based
-    index j with after[j + 1] != gcd(a) (len(a) on a zero row, which has
-    no singleton basis), and the first positive and first negative index
-    (None when there is none).
+    """What every singleton lift on the nonzero row a shares: its suffix
+    gcds `after` (`_suffix_gcds`), the tail start t, which is the first
+    0-based index j with after[j + 1] != gcd(a), and the first positive
+    and first negative index (None when there is none).
 
     after[j] divides after[j + 1], so after[j + 1] = gcd(a) exactly for
     j < t: there every later column alone spans the lattice of a.
     """
     after = _suffix_gcds(a)
-    tail = next((j for j in range(len(a)) if after[j + 1] != after[0]), len(a))
+    tail = next(j for j in range(len(a)) if after[j + 1] != after[0])
     first_pos = next((j for j, v in enumerate(a) if v > 0), None)
     first_neg = next((j for j, v in enumerate(a) if v < 0), None)
     return after, tail, first_pos, first_neg
@@ -269,9 +256,11 @@ def _row_member(c: Sequence[int], b: int) -> Optional[IntVector]:
 
 
 def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], int, bool]:
-    """The one-row lift from the singleton basis of 0-based column i, for
-    a b that gcd(a) divides: x as {0-based column: value} on gamma and the
-    entering column, then omega_truncated_upper(|a_i| / gcd(a), 1).
+    """`solve_semigroup_posspan` on the row a, which has both signs and no
+    zero entry, from the singleton basis of 0-based column i, in closed
+    form, for a b that gcd(a) divides: x as {0-based column: value} on
+    gamma and the entering column, then omega_truncated_upper(|a_i| /
+    gcd(a), 1).
 
     `chain` is `_row_chain(a)`. The lattice of any columns is their gcd
     times Z, so `sparsify`'s drop rule with tau = {i} reads: keep j iff
@@ -285,8 +274,7 @@ def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], i
     kernel vector is |a_e| 1_gamma + |S| e_e over its content, and x, the
     kernel and the step stay on gamma and e. S is never 0: the last column
     kept would then be minus the sum of the others, and so in their
-    lattice. No e exists iff the row has one sign, which is when it does
-    not positively span R: that raises NotPositivelySpanning.
+    lattice. The row has both signs, so e exists.
     """
     after, tail, first_pos, first_neg = chain
     g = after[0]
@@ -305,8 +293,6 @@ def _lift_sparse(a: IntVector, b: int, i: int, chain) -> tuple[dict[int, int], i
     if any(v < 0 for v in x.values()):
         S = sum(a[j] for j in gamma)
         e = first_neg if S > 0 else first_pos
-        if e is None:
-            raise NotPositivelySpanning("columns do not positively span R^m")
         kernel = dict.fromkeys(gamma, abs(a[e]))
         kernel[e] = kernel.get(e, 0) + abs(S)
         content = math.gcd(*kernel.values())
@@ -320,34 +306,6 @@ def _dense(x: dict[int, int], n: int) -> IntVector:
     for j, v in x.items():
         dense[j] = v
     return tuple(dense)
-
-
-def _lift_row(A: IntMatrix, b: Sequence[int], tau, chain) -> Optional[SolutionReport]:
-    """_lift_posspan for one row, in closed form: the same report, or
-    the same error.
-
-    `chain` is `_row_chain` of the row, which every singleton basis
-    shares; the lift itself is `_lift_sparse`. After tau and the rhs
-    length are checked, a b that gcd(a) does not divide is infeasible at
-    once.
-    """
-    tau = _basis_indices(A, tau)
-    (i,) = tau
-    a = A.row(0)
-    if a[i - 1] == 0:
-        raise SingularBasis(f"columns {tau} are linearly dependent")
-    (b,) = _rhs_vector(b, 1)
-    if b % chain[0][0]:
-        return None
-    x, omega_1, exact = _lift_sparse(a, b, i - 1, chain)
-    return SolutionReport(
-        x=_dense(x, len(a)),
-        support_size=support_size(x.values()),
-        bound=2 + omega_1,
-        bound_name=BOUND_POSITIVE_SPAN,
-        bound_exact=exact,
-        tau=tau,
-    )
 
 
 def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:

@@ -57,6 +57,7 @@ from sparsedioph import (
     factorize,
     hnf_basis,
     reduce_knapsack_support,
+    solve_semigroup_posspan,
 )
 from sparsedioph.diophsolve import BOUND_MIXED_KNAPSACK
 from sparsedioph.errors import NonPositive
@@ -68,8 +69,8 @@ from sparsedioph.numtheory import (
     _pollard_rho,
     is_probable_prime,
 )
-from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset, _lift_posspan
-from sparsedioph.sparsify import _tau_basis, check_index_set
+from sparsedioph.semigroup import DEFAULT_B_CAP, _closure_bitset
+from sparsedioph.sparsify import check_index_set
 
 
 def perm_det(rows) -> int:
@@ -527,13 +528,13 @@ def sparsify_membership_greedy(A: IntMatrix, tau):
 
 def solve_knapsack_mixed_by_lifts(a, b: int) -> Optional[SolutionReport]:
     """solve_knapsack_mixed as the minimum over i of the general lift
-    `_lift_posspan` on the basis {i}: the sparsest report, then the
+    `solve_semigroup_posspan` on the basis {i}: the sparsest report, then the
     smallest bound, then the smallest i; the bound is the least over all
     lifts and exact iff every lift's is."""
     A = IntMatrix.row_vector(a)
     if b % math.gcd(*a):
         return None
-    reports = [_lift_posspan(A, (b,), *_tau_basis(A, (i,))) for i in range(1, len(a) + 1)]
+    reports = [solve_semigroup_posspan(A, (b,), (i,)) for i in range(1, len(a) + 1)]
     best = min(reports, key=lambda r: (r.support_size, r.bound))
     return SolutionReport(
         x=best.x,

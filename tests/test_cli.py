@@ -489,11 +489,12 @@ def test_recheck_catches_a_dropped_column(monkeypatch, tau):
 
 
 def test_one_row_spanning_test_needs_no_basis_and_no_lp(monkeypatch):
-    # The sign check, the lift and the solve on gamma build no basis.
+    # The mixed knapsack's sign check, its lifts and their solves on gamma
+    # build no basis and run no LP.
     inserts, lps = [], []
     count_calls(monkeypatch, intlinalg, "_hnf_insert", lambda basis, v: inserts.append(v))
     count_calls(monkeypatch, exactlp, "basic_feasible_point", lambda rows, rhs: lps.append(rhs))
-    code, out, _ = invoke(["solve-semigroup", "--matrix", "8 5 -12", "--rhs", "2", "--tau", "1"])
+    code, out, _ = invoke(["knapsack", "--mixed", "--a", "8 5 -12", "--b", "2"])
     assert code == 0
     assert "status = solved" in out
     assert (inserts, lps) == ([], [])

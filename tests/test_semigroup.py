@@ -232,8 +232,8 @@ class TestSolveSemigroupPosspan:
 
     def test_at_most_one_lp_per_solve(self, lp_calls):
         # The lift's LP is the only one, and it runs iff the lattice
-        # solution x* on gamma has a negative entry: never when b is
-        # outside the lattice, and never on one row, whose lift is closed.
+        # solution x* on gamma has a negative entry, on any number of rows:
+        # never when b is outside the lattice.
         rng = random.Random(37)
         seen = {"infeasible": 0, "nonnegative": 0, "lifted": 0, "not spanning": 0}
         for _ in range(200):
@@ -257,7 +257,7 @@ class TestSolveSemigroupPosspan:
                 expected = 0
                 seen["infeasible"] += 1
             else:
-                expected = int(m > 1 and min(lattice.x) < 0)
+                expected = int(min(lattice.x) < 0)
                 seen["lifted" if expected else "nonnegative"] += 1
             assert lp_calls[0] == expected
         assert min(seen.values()) > 0
@@ -265,17 +265,21 @@ class TestSolveSemigroupPosspan:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_one_row_lift_equals_the_general_lift(self, data):
-        # The closed form against sparsify plus the phase-I LP, on every
-        # singleton basis: all five report fields agree.
-        entry = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10**12, 10**12))
-        a = data.draw(st.lists(entry, min_size=2, max_size=8))
+        # The mixed knapsack's closed form against sparsify plus the
+        # phase-I LP, on every singleton basis of a row with nonzero
+        # entries of both signs: x, bound and exactness agree.
+        entry = st.one_of(st.integers(1, 30), st.integers(1, 10**12))
+        a = [data.draw(st.sampled_from((-1, 1))) * v
+             for v in data.draw(st.lists(entry, min_size=2, max_size=8))]
         assume(min(a) < 0 < max(a))
         A = IntMatrix.row_vector(a)
         b = math.gcd(*a) * data.draw(st.integers(-10**6, 10**6))
-        for i in range(1, len(a) + 1):
-            if a[i - 1] != 0:
-                general = semigroup._lift_posspan(A, (b,), *sparsify_module._tau_basis(A, (i,)))
-                assert semigroup._lift_row(A, (b,), (i,), semigroup._row_chain(a)) == general
+        chain = semigroup._row_chain(a)
+        for i in range(len(a)):
+            x, omega_1, exact = semigroup._lift_sparse(a, b, i, chain)
+            report = solve_semigroup_posspan(A, (b,), (i + 1,))
+            assert (semigroup._dense(x, len(a)), 2 + omega_1, exact) == (
+                report.x, report.bound, report.bound_exact)
 
     @settings(max_examples=150, deadline=None)
     @given(spanning_instances())
