@@ -3,8 +3,9 @@
 `min_support_exact` finds the true minimum number of nonzeros over all
 nonnegative integer solutions of A x = b. For one row this is a complete
 search over support subsets; for two or more rows it is a bounded
-enumeration, honest about its caps: a None answer only means "nothing
-found within the search regime", never a proof of infeasibility.
+enumeration, honest about its caps: a None answer proves infeasibility
+only when b lies outside the lattice of A, and otherwise means "nothing
+found within the search regime".
 
 `icr_scan` takes the worst case of the minimum support over all
 right-hand sides up to a limit, which lower-bounds the integer
@@ -22,7 +23,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NonPositive
-from .intlinalg import IntMatrix, as_vector
+from .intlinalg import IntMatrix, _rhs_vector, as_vector, lattice_member
 from .semigroup import _add_coin, _closure_bitset
 
 DEFAULT_COORD_CAP = 50
@@ -122,13 +123,13 @@ def min_support_exact(
     a support of one-signed weights needs a bitset of more than
     ICR_SCAN_CAP + 1 bits. For m >= 2 the search enumerates
     supports of size up to k_max with coordinates capped at coord_cap, so
-    None means "not found within the regime" rather than infeasible; it
+    None means "not found within the regime" unless b lies outside the
+    lattice of A, which is checked first and proves infeasibility; it
     raises CapExceeded after MIN_SUPPORT_POINT_CAP enumerated points.
-    Raises NonPositive for k_max < 0 or coord_cap < 1.
+    Raises DimensionMismatch unless b has m entries, then NonPositive for
+    k_max < 0 or coord_cap < 1.
     """
-    b = as_vector(b)
-    if len(b) != A.rows:
-        raise DimensionMismatch("right-hand side length differs from row count")
+    b = _rhs_vector(b, A.rows)
     if k_max is None:
         k_max = A.cols
     if k_max < 0:
@@ -137,6 +138,8 @@ def min_support_exact(
         raise NonPositive(f"coord_cap must be positive, got {coord_cap}")
     if not any(b):
         return 0
+    if lattice_member(A, b) is None:
+        return None
     if A.rows == 1:
         return _min_support_single_row(A.row(0), b[0], k_max)
     points = [0]

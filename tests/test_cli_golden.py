@@ -99,6 +99,10 @@ CASES = {
     "knapsack-positive-infeasible": (["knapsack", "--positive", "--a", "2 3", "--b", "1"], {}, {}),
     "knapsack-mixed-infeasible": (["knapsack", "--mixed", "--a", "4 -6", "--b", "1"], {}, {}),
     "oracle-infeasible": (["oracle", "--matrix", "2 4", "--rhs", "3"], {}, {}),
+    # Every column sums to 6 and 7 + 9 = 16 is no multiple of 6: b is
+    # outside the lattice.
+    "oracle-two-rows-outside-lattice": (
+        ["oracle", "--matrix", "1 2 3 4 5; 5 4 3 2 1", "--rhs", "7 9"], {}, {}),
     # Undetermined.
     "knapsack-cap-flag": (
         ["knapsack", "--positive", "--a", "2 3", "--b", "999999", "--b-cap", "10"], {}, {}),

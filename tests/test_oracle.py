@@ -89,6 +89,15 @@ class TestMinSupportExact:
         monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
         assert min_support_exact(IntMatrix.from_rows([[2, 3]]), (5,)) == 2
 
+    def test_b_outside_the_lattice_takes_no_points(self, monkeypatch):
+        # Every column sums to 6 and 7 + 9 = 16 is no multiple of 6; a b in
+        # the lattice still enumerates.
+        A = IntMatrix.from_rows([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
+        assert min_support_exact(A, (7, 9)) is None
+        with pytest.raises(CapExceeded):
+            min_support_exact(A, (7, 11))
+
     def test_one_row_bitset_cap(self, monkeypatch):
         # The bitset for one support has |b - sum of its weights|/gcd + 1
         # bits; above ICR_SCAN_CAP the search is undetermined.
