@@ -9,7 +9,6 @@ Three solving regimes live here, in decreasing generality:
   at most m more columns, taken from a single phase-I LP. That vector
   exists iff the columns positively span, so its LP is also the spanning
   test, and it runs only when the lattice solution has a negative entry.
-  One body serves every row count.
 * `solve_knapsack_mixed` is the single-row case with both signs present;
   it lifts from every singleton basis and keeps the sparsest result. On
   one row every step has a closed form: gamma comes from suffix gcds, the
@@ -213,19 +212,19 @@ def _suffix_gcds(a: Sequence[int]) -> list[int]:
     return after
 
 
-def _row_chain(a: Sequence[int]) -> tuple[list[int], int, Optional[int], Optional[int]]:
-    """What every singleton lift on the nonzero row a shares: its suffix
-    gcds `after` (`_suffix_gcds`), the tail start t, which is the first
-    0-based index j with after[j + 1] != gcd(a), and the first positive
-    and first negative index (None when there is none).
+def _row_chain(a: Sequence[int]) -> tuple[list[int], int, int, int]:
+    """What every singleton lift on the row a, which has both signs,
+    shares: its suffix gcds `after` (`_suffix_gcds`), the tail start t,
+    which is the first 0-based index j with after[j + 1] != gcd(a), and
+    the first positive and first negative index.
 
     after[j] divides after[j + 1], so after[j + 1] = gcd(a) exactly for
     j < t: there every later column alone spans the lattice of a.
     """
     after = _suffix_gcds(a)
     tail = next(j for j in range(len(a)) if after[j + 1] != after[0])
-    first_pos = next((j for j, v in enumerate(a) if v > 0), None)
-    first_neg = next((j for j, v in enumerate(a) if v < 0), None)
+    first_pos = next(j for j, v in enumerate(a) if v > 0)
+    first_neg = next(j for j, v in enumerate(a) if v < 0)
     return after, tail, first_pos, first_neg
 
 
