@@ -64,6 +64,10 @@ CASES = {
     "knapsack-mixed-unsplit": (["knapsack", "--mixed", "--a", BIG_MIXED, "--b", "1"], {}, {}),
     "knapsack-mixed-negative-b": (["knapsack", "--mixed", "--a", "6 -10 15", "--b", "-7"],
                                   {}, {}),
+    # The walk back finds 5 x 7 + 4 + 5; two reduction passes cancel 7,
+    # then 5, against the designated weight 3.
+    "knapsack-positive-reduced": (["knapsack", "--positive", "--a", "7 4 3 5", "--b", "44"],
+                                  {}, {}),
     "knapsack-mixed-twelve-weights": (
         ["knapsack", "--mixed", "--a", "391 -221 1001 -4199 35 714 -95 2431 -646 187 -1105 858",
          "--b", "4"], {}, {}),
@@ -119,6 +123,9 @@ CASES = {
     "worst-case-over-default-cap": (["worst-case", "--m", "1000", "--delta", "2"], {}, {}),
     "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"],
                       {}, {}),
+    # 5 needs both weights; --k-max 1 cuts the one-row search short.
+    "oracle-one-row-k-max-cut": (["oracle", "--matrix", "2 3", "--rhs", "5", "--k-max", "1"],
+                                 {}, {}),
     # Input errors.
     "solve-dioph-parse-error": (["solve-dioph", "--matrix-file", "{tmp}/bad.txt", "--rhs", "1"],
                                 {}, {}),
