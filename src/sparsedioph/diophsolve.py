@@ -41,18 +41,6 @@ def support_size(x: Sequence[int]) -> int:
     return sum(1 for v in x if v != 0)
 
 
-def solve_on_columns(A: IntMatrix, b: Sequence[int], columns: Sequence[int]) -> Optional[IntVector]:
-    """Solve A x = b with support restricted to the given 1-based columns."""
-    sub = A.take_columns([j - 1 for j in columns])
-    partial = lattice_member(sub, b)
-    if partial is None:
-        return None
-    x = [0] * A.cols
-    for value, j in zip(partial, columns):
-        x[j - 1] = value
-    return tuple(x)
-
-
 def solve_sparse_lattice(
     A: IntMatrix, b: Sequence[int], tau=None
 ) -> Optional[SolutionReport]:
@@ -100,7 +88,10 @@ def _gamma_solution(
     if any(_reduce(chain[0], b)):
         return None
     cert = _sparsify(A, tau, chain)
-    x = solve_on_columns(A, b, cert.gamma)
-    if x is None:
+    partial = lattice_member(A.take_columns([j - 1 for j in cert.gamma]), b)
+    if partial is None:
         raise AssertionError("b left the lattice on gamma")
-    return cert, x
+    x = [0] * A.cols
+    for value, j in zip(partial, cert.gamma):
+        x[j - 1] = value
+    return cert, tuple(x)

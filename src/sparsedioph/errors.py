@@ -37,10 +37,6 @@ class NoSignMix(Error):
     """A vector with both positive and negative entries was required."""
 
 
-class HypothesisViolated(Error):
-    """Kernel-vector construction needs t > 1 + log2(first entry)."""
-
-
 class InfeasibleInput(Error):
     """A supplied starting point does not satisfy its constraints."""
 

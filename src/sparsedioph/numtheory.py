@@ -63,7 +63,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test; deterministic below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _DETERMINISTIC_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

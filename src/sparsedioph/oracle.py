@@ -3,9 +3,8 @@
 `min_support_exact` finds the true minimum number of nonzeros over all
 nonnegative integer solutions of A x = b. For one row this is a complete
 search over support subsets; for two or more rows it is a bounded
-enumeration, honest about its caps: a None answer proves infeasibility
-only when b lies outside the lattice of A, and otherwise means "nothing
-found within the search regime".
+enumeration, honest about its caps: a None answer proves infeasibility,
+and a search that finds nothing within its regime raises CapExceeded.
 
 `icr_scan` takes the worst case of the minimum support over all
 right-hand sides up to a limit, which lower-bounds the integer
@@ -72,6 +71,8 @@ def _min_support_single_row(row: Sequence[int], b: int, k_max: int) -> Optional[
         for subset in itertools.combinations(range(n), k):
             if _single_row_support_feasible([row[j] for j in subset], b):
                 return k
+    if k_max < n:
+        raise CapExceeded(f"no solution with support <= {k_max}")
     return None
 
 
@@ -117,17 +118,18 @@ def min_support_exact(
     k_max: Optional[int] = None,
     coord_cap: int = DEFAULT_COORD_CAP,
 ) -> Optional[int]:
-    """Minimum support over nonnegative integer solutions of A x = b.
+    """Minimum support over nonnegative integer solutions of A x = b, or
+    None when none exists.
 
-    Complete for single-row instances, where it raises CapExceeded when
-    a support of one-signed weights needs a bitset of more than
-    ICR_SCAN_CAP + 1 bits. For m >= 2 the search enumerates
-    supports of size up to k_max with coordinates capped at coord_cap, so
-    None means "not found within the regime" unless b lies outside the
-    lattice of A, which is checked first and proves infeasibility; it
-    raises CapExceeded after MIN_SUPPORT_POINT_CAP enumerated points.
-    Raises DimensionMismatch unless b has m entries, then NonPositive for
-    k_max < 0 or coord_cap < 1.
+    None is always a proof: b lies outside the lattice of A, which is
+    checked first, or the complete one-row search found no support. A
+    search that ends without either raises CapExceeded with its reason:
+    a one-row search cut by k_max < n, a support of one-signed weights
+    that needs a bitset of more than ICR_SCAN_CAP + 1 bits, and for
+    m >= 2 an enumeration of supports of size up to k_max with
+    coordinates capped at coord_cap that finds nothing or passes
+    MIN_SUPPORT_POINT_CAP points. Raises DimensionMismatch unless b has
+    m entries, then NonPositive for k_max < 0 or coord_cap < 1.
     """
     b = _rhs_vector(b, A.rows)
     if k_max is None:
@@ -143,11 +145,12 @@ def min_support_exact(
     if A.rows == 1:
         return _min_support_single_row(A.row(0), b[0], k_max)
     points = [0]
-    for k in range(1, min(A.cols, k_max) + 1):
+    k_top = min(A.cols, k_max)
+    for k in range(1, k_top + 1):
         for subset in itertools.combinations(range(A.cols), k):
             if _search_support([A.column(j) for j in subset], b, coord_cap, points):
                 return k
-    return None
+    raise CapExceeded(f"no solution with support <= {k_top} and entries <= {coord_cap}")
 
 
 def icr_scan(a: Sequence[int], b_max: int) -> int:

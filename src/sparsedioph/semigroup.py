@@ -16,8 +16,10 @@ Three solving regimes live here, in decreasing generality:
   point that phase-I reaches in one pivot.
 * `solve_knapsack_positive` is the all-positive single-row case: the
   bitset closure of the weights decides reachability, a walk back from b
-  through it rebuilds one solution, and a pigeonhole-built kernel vector
-  with entries in {-1, 0, 1} repeatedly shrinks its support.
+  through it rebuilds one solution, and `reduce_knapsack_support`
+  shrinks its support by kernel vectors, free on the smallest weight and
+  in {-1, 0, 1} elsewhere, each from a pigeonhole collision of subset
+  sums.
 
 `sparsity_bounds` evaluates every support bound that applies to a given
 instance, exactly, for reporting and comparison.
@@ -42,7 +44,6 @@ from .diophsolve import (
 from .errors import (
     CapExceeded,
     DimensionMismatch,
-    HypothesisViolated,
     InfeasibleInput,
     NoSignMix,
     NonPositive,
@@ -347,48 +348,20 @@ def solve_knapsack_mixed(a: Sequence[int], b: int) -> Optional[SolutionReport]:
     )
 
 
-def kernel_vector_pigeonhole(a: Sequence[int]) -> IntVector:
-    """Nonzero integer y with a.y = 0, y[0] >= 0 and all later entries in
-    {-1, 0, 1}, for positive a with len(a) > 1 + log2(a[0]).
-
-    Constructive pigeonhole replacement for the lattice-point existence
-    argument: the subset sums of a[1:] over {0,1} encodings of
-    0..a[0] collide modulo a[0], and the difference of a colliding pair is
-    the tail of y; the head balances the sum exactly.
-    """
-    a = as_vector(a)
-    t = len(a)
-    if any(v <= 0 for v in a):
-        raise NonPositive("all entries must be positive")
-    if 2 ** (t - 1) <= a[0]:
-        raise HypothesisViolated(f"need len(a) > 1 + log2({a[0]})")
-    seen: dict[int, list[int]] = {}
-    for code in range(a[0] + 1):
-        eps = [(code >> i) & 1 for i in range(t - 1)]
-        residue = sum(e * v for e, v in zip(eps, a[1:])) % a[0]
-        if residue in seen:
-            prev = seen[residue]
-            tail = [e1 - e2 for e1, e2 in zip(eps, prev)]
-            total = sum(y * v for y, v in zip(tail, a[1:]))
-            head = -total // a[0]
-            if head * a[0] != -total:
-                raise AssertionError("collision residues disagree")
-            y = [head] + tail
-            if head < 0:
-                y = [-v for v in y]
-            return tuple(y)
-        seen[residue] = eps
-    raise AssertionError("pigeonhole collision must occur within a[0]+1 codes")
-
-
 def reduce_knapsack_support(a: Sequence[int], x0: Sequence[int]) -> SolutionReport:
     """Shrink the support of a nonnegative knapsack solution below the
     1 + floor(log2(min(a)/gcd(a))) bound.
 
     Designates the smallest entry of a (smallest index on ties) and, while
     too many other coordinates are nonzero, cancels at least one of them
-    by adding a multiple of a pigeonhole kernel vector; the knapsack value
-    is invariant and nonnegativity is preserved at every step.
+    by adding a multiple of a kernel vector that is free on the designated
+    column and in {-1, 0, 1} on the others. With weights w = a/gcd(a) and
+    t the designated weight: while 2^k > t for the k other nonzero
+    columns, the first t + 1 of their subsets cannot all have distinct
+    weight sums modulo t, so two collide (the pigeonhole of Eisenbrand
+    and Shmonin), and their difference y balances exactly against
+    -(w.y)/t times the designated column. The knapsack value is invariant
+    and nonnegativity is preserved at every step.
     """
     a = as_vector(a)
     if not a:
@@ -410,12 +383,27 @@ def reduce_knapsack_support(a: Sequence[int], x0: Sequence[int]) -> SolutionRepo
         # 2^count <= target means count <= floor(log2(target)).
         if 2 ** len(others) <= target:
             break
-        sub = (weights[i_min],) + tuple(weights[j] for j in others)
-        kernel = kernel_vector_pigeonhole(sub)
-        step = min(x[others[k]] for k in range(len(others)) if kernel[k + 1] == -1)
-        x[i_min] += step * kernel[0]
-        for k, j in enumerate(others):
-            x[j] += step * kernel[k + 1]
+        # Bit k of a code picks others[k]; the first code whose weight sum
+        # repeats an earlier residue modulo target ends the search.
+        seen: dict[int, int] = {}
+        for code in range(target + 1):
+            residue = sum(weights[j] for k, j in enumerate(others) if code >> k & 1) % target
+            if residue in seen:
+                break
+            seen[residue] = code
+        else:
+            raise AssertionError("pigeonhole collision must occur within target + 1 codes")
+        y = [(code >> k & 1) - (seen[residue] >> k & 1) for k in range(len(others))]
+        total = sum(v * weights[j] for v, j in zip(y, others))
+        head = -total // target
+        if head * target != -total:
+            raise AssertionError("collision residues disagree")
+        if head < 0:
+            head, y = -head, [-v for v in y]
+        step = min(x[j] for v, j in zip(y, others) if v == -1)
+        x[i_min] += step * head
+        for v, j in zip(y, others):
+            x[j] += step * v
     bound = 1 + _floor_log2(target)
     return SolutionReport(
         x=tuple(x),

@@ -22,6 +22,10 @@ return the same point. The positive knapsack's forward dynamic program,
 which stored a parent weight per value, is kept as the reference for the
 walk back through the bitset closure that replaced it: both pick the
 same weight at every value, so the two must return the same report.
+The support reduction that asked a separate helper for each pigeonhole
+kernel vector, `reduce_knapsack_support_by_kernels`, is kept as the
+reference for the loop that finds its own collisions: the same kernel
+vectors, so the two must return the same x.
 The `icr_scan` that built every subset's closure from scratch is kept as
 the reference for the one that adds one weight to a closure one level
 down: both must return the same value or stop at the same work cap.
@@ -434,6 +438,57 @@ def solve_knapsack_positive_dp(a, b: int, b_cap: int = DEFAULT_B_CAP):
         x0[idx] += 1
         v -= weights[idx]
     return reduce_knapsack_support(a, x0)
+
+
+def _kernel_vector_pigeonhole(a) -> tuple:
+    """Nonzero integer y with a.y = 0, y[0] >= 0 and all later entries in
+    {-1, 0, 1}, for positive a with len(a) > 1 + log2(a[0]): the subset
+    sums of a[1:] over {0,1} encodings of 0..a[0] collide modulo a[0],
+    and the difference of a colliding pair is the tail of y; the head
+    balances the sum exactly."""
+    t = len(a)
+    assert 2 ** (t - 1) > a[0]
+    seen: dict[int, list[int]] = {}
+    for code in range(a[0] + 1):
+        eps = [(code >> i) & 1 for i in range(t - 1)]
+        residue = sum(e * v for e, v in zip(eps, a[1:])) % a[0]
+        if residue in seen:
+            prev = seen[residue]
+            tail = [e1 - e2 for e1, e2 in zip(eps, prev)]
+            total = sum(y * v for y, v in zip(tail, a[1:]))
+            head = -total // a[0]
+            if head * a[0] != -total:
+                raise AssertionError("collision residues disagree")
+            y = [head] + tail
+            if head < 0:
+                y = [-v for v in y]
+            return tuple(y)
+        seen[residue] = eps
+    raise AssertionError("pigeonhole collision must occur within a[0]+1 codes")
+
+
+def reduce_knapsack_support_by_kernels(a, x0) -> tuple[tuple, int]:
+    """The superseded `reduce_knapsack_support` for valid input, x and the
+    number of passes: each pass asks a separate helper for the pigeonhole
+    kernel vector of the designated weight and the other nonzero columns."""
+    x = list(x0)
+    g = math.gcd(*a)
+    weights = [v // g for v in a]
+    target = min(weights)
+    i_min = weights.index(target)
+    passes = 0
+    while True:
+        others = [j for j in range(len(x)) if j != i_min and x[j] != 0]
+        if 2 ** len(others) <= target:
+            break
+        passes += 1
+        sub = (weights[i_min],) + tuple(weights[j] for j in others)
+        kernel = _kernel_vector_pigeonhole(sub)
+        step = min(x[others[k]] for k in range(len(others)) if kernel[k + 1] == -1)
+        x[i_min] += step * kernel[0]
+        for k, j in enumerate(others):
+            x[j] += step * kernel[k + 1]
+    return tuple(x), passes
 
 
 def icr_scan_from_scratch(a, b_max: int, work_cap: int) -> int:

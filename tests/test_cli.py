@@ -167,6 +167,23 @@ def test_oracle_exit_codes():
     )
     assert code == 3
     assert "status = undetermined" in out
+    assert "reason = no solution with support <= 2 and entries <= 50" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # b in the lattice with nothing found, and b outside it.
+        (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"], 3),
+        (["oracle", "--matrix", "1 2 3 4 5; 5 4 3 2 1", "--rhs", "7 9"], 2),
+        (["oracle", "--matrix", "2 3", "--rhs", "5", "--k-max", "1"], 3),
+    ],
+)
+def test_oracle_tests_membership_once(monkeypatch, argv, code):
+    calls = []
+    count_calls(monkeypatch, intlinalg, "lattice_member", lambda *args: calls.append(args))
+    assert invoke(argv)[0] == code
+    assert len(calls) == 1
 
 
 def test_icr_scan():
@@ -455,6 +472,14 @@ def test_cli_calls_only_public_solvers():
     ]
     assert {module for module, _ in imported} == {"sparsify", "diophsolve", "semigroup"}
     assert [name for _, name in imported if name.startswith("_")] == []
+
+
+def test_every_export_resolves():
+    import sparsedioph
+
+    assert len(set(sparsedioph.__all__)) == len(sparsedioph.__all__)
+    missing = [name for name in sparsedioph.__all__ if not hasattr(sparsedioph, name)]
+    assert missing == []
 
 
 def test_recheck_inserts_gamma_only(monkeypatch):

@@ -1,11 +1,12 @@
 """Whole-CLI fuzz test: random argvs for every subcommand, valid or not,
 must end cleanly.
 
-Each run must exit with 0, 1, 2 or 3 and print no traceback, and every
-`solved` or `infeasible` JSON document must pass a check from
-`oracles.py` that does not run the code that produced it. The arguments
-stay at desk scale; the package's own counted caps bound the rest of the
-work, so the test needs no alarm.
+Each run must exit with 0, 1, 2 or 3 and print no traceback, every
+`undetermined` JSON document must give its reason, and every `solved` or
+`infeasible` JSON document must pass a check from `oracles.py` that does
+not run the code that produced it. The arguments stay at desk scale; the
+package's own counted caps bound the rest of the work, so the test needs
+no alarm.
 """
 
 import contextlib
@@ -190,6 +191,10 @@ def test_every_run_ends_cleanly(argv):
         code = cli.run(argv, out=out, err=err)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if "--json" in argv and code == 3:
+        # Every capped search names the cap that stopped it.
+        doc = json.loads(out.getvalue())
+        assert doc["status"] == "undetermined" and doc["reason"], (argv, doc)
     if "--json" in argv and code in (0, 2) and out.getvalue():
         doc = json.loads(out.getvalue())
         assert doc["status"] == ("solved" if code == 0 else "infeasible")

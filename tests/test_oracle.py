@@ -36,8 +36,13 @@ class TestMinSupportExact:
         assert min_support_exact(IntMatrix.from_rows([[2, 4]]), (3,)) is None
 
     def test_k_max_restricts_the_search(self):
+        # 5 needs both weights: a search cut at support 1 proves nothing,
+        # and says so; an infeasible b stays proven under any cut.
         A = IntMatrix.from_rows([[2, 3]])
-        assert min_support_exact(A, (5,), k_max=1) is None
+        with pytest.raises(CapExceeded, match=r"^no solution with support <= 1$"):
+            min_support_exact(A, (5,), k_max=1)
+        assert min_support_exact(A, (5,), k_max=2) == 2
+        assert min_support_exact(IntMatrix.from_rows([[2, 4]]), (3,), k_max=1) is None
 
     def test_mixed_sign_single_row(self):
         A = IntMatrix.from_rows([[3, -5]])
@@ -48,7 +53,14 @@ class TestMinSupportExact:
         A = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
         assert min_support_exact(A, (2, 3)) == 1
         assert min_support_exact(A, (1, 1)) == 2
-        assert min_support_exact(A, (-1, 0)) is None  # nonneg solutions only
+        # (-1, 0) is in the lattice but has no nonnegative solution, which
+        # the bounded search cannot prove.
+        with pytest.raises(CapExceeded,
+                           match=r"^no solution with support <= 3 and entries <= 50$"):
+            min_support_exact(A, (-1, 0))
+        with pytest.raises(CapExceeded,
+                           match=r"^no solution with support <= 2 and entries <= 7$"):
+            min_support_exact(A, (-1, 0), k_max=2, coord_cap=7)
 
     def test_double_oracle_agreement_single_row(self):
         rng = random.Random(17)
@@ -74,7 +86,8 @@ class TestMinSupportExact:
         with pytest.raises(NonPositive, match="coord_cap must be positive, got -1"):
             min_support_exact(two_rows, (0, 0), coord_cap=-1)
         # The smallest caps in range still search.
-        assert min_support_exact(one_row, (5,), k_max=0) is None
+        with pytest.raises(CapExceeded, match=r"^no solution with support <= 0$"):
+            min_support_exact(one_row, (5,), k_max=0)
         assert min_support_exact(two_rows, (1, 1), coord_cap=1) == 2
 
     def test_point_cap(self, monkeypatch):
@@ -125,9 +138,15 @@ class TestMinSupportExact:
             b = A.mat_vec(witness)
             report = solve_sparse_lattice(A, b, tau)
             assert report is not None
-            best = min_support_exact(A, b, k_max=report.support_size)
-            if best is not None:
-                assert best <= report.support_size
+            # b = A witness with witness >= 0, so a search cut at the
+            # solver's support finds one or gives up; it never proves
+            # infeasibility.
+            try:
+                best = min_support_exact(A, b, k_max=report.support_size)
+            except CapExceeded as exc:
+                assert str(exc).startswith("no solution with support <= ")
+            else:
+                assert best is not None and best <= report.support_size
 
 
 class TestIcrScan:
