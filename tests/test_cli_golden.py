@@ -33,6 +33,7 @@ FILES = {
     "A.txt": "2 3\n6 10 15\n4 6 9\n",
     "b.txt": "2 4\n",
     "bad.txt": "1 3\n6 ten 15\n",
+    "bad-matrix.txt": "1 3\n4 x 9\n",
 }
 
 # name -> (argv, environment, module constants as {"module.NAME": value});
@@ -57,13 +58,23 @@ CASES = {
     # Solved.
     "sparsify-default-tau": (["sparsify", "--matrix", "2 0 4; 0 2 2"], {}, {}),
     "sparsify-unsplit-delta": (["sparsify", "--matrix", UNSPLIT], {}, {}),
+    "sparsify-two-rows": (["sparsify", "--matrix", "6 10 15; 1 2 4"], {}, {}),
+    # delta is the product of two primes above 2^45, one on each diagonal
+    # entry of tau's basis: the bound is exact, 2 + 2, with no bound_exact key.
+    "sparsify-two-primes-exact-bound": (
+        ["sparsify", "--matrix", "35184372088891 0 -1; 0 35184372088907 -1"], {}, {}),
     "solve-dioph-sparse": (["solve-dioph", "--matrix", "4 6 9 15", "--rhs", "1"], {}, {}),
     "solve-dioph-unsplit-delta": (["solve-dioph", "--matrix", UNSPLIT, "--rhs", "1 1"], {}, {}),
+    "solve-dioph-two-rows-tau": (
+        ["solve-dioph", "--matrix", "4 6 9 15; 2 0 3 5", "--rhs", "3 5", "--tau", "1 3"], {}, {}),
     "solve-semigroup-lifted": (
         ["solve-semigroup", "--matrix", "3 -2 0; 0 -2 5", "--rhs", "7 1"], {}, {}),
     "knapsack-mixed-unsplit": (["knapsack", "--mixed", "--a", BIG_MIXED, "--b", "1"], {}, {}),
     "knapsack-mixed-negative-b": (["knapsack", "--mixed", "--a", "6 -10 15", "--b", "-7"],
                                   {}, {}),
+    # --json writes exactly what json.dumps(doc, indent=2) writes.
+    "knapsack-mixed-four-weights": (
+        ["knapsack", "--mixed", "--a", "391 -221 1001 -4199", "--b", "4"], {}, {}),
     # The walk back finds 5 x 7 + 4 + 5; two reduction passes cancel 7,
     # then 5, against the designated weight 3.
     "knapsack-positive-reduced": (["knapsack", "--positive", "--a", "7 4 3 5", "--b", "44"],
@@ -94,6 +105,8 @@ CASES = {
     # Infeasible.
     "solve-dioph-infeasible": (["solve-dioph", "--matrix", "4 6", "--rhs", "3", "--tau", "1"],
                                {}, {}),
+    # b outside the lattice of A is proven infeasible: exit code 2.
+    "solve-dioph-outside-lattice": (["solve-dioph", "--matrix", "2 4", "--rhs", "3"], {}, {}),
     "solve-semigroup-infeasible": (
         ["solve-semigroup", "--matrix", "2 0 -2; 0 2 -2", "--rhs", "1 1"], {}, {}),
     "solve-dioph-infeasible-two-rows": (
@@ -121,8 +134,14 @@ CASES = {
     "worst-case-over-cap": (["worst-case", "--m", "2", "--delta", "60"], {},
                             {"sparsify.WORST_CASE_ENTRY_CAP": 10}),
     "worst-case-over-default-cap": (["worst-case", "--m", "1000", "--delta", "2"], {}, {}),
+    # worst-case is capped at 10^6 entries: undetermined, exit code 3, and
+    # no traceback.
+    "worst-case-far-over-default-cap": (["worst-case", "--m", "100000", "--delta", "2"], {}, {}),
     "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"],
                       {}, {}),
+    # A bounded multi-row search that finds nothing is undetermined, exit
+    # code 3, and names its caps.
+    "oracle-regime-default-k-max": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0"], {}, {}),
     # 5 needs both weights; --k-max 1 cuts the one-row search short.
     "oracle-one-row-k-max-cut": (["oracle", "--matrix", "2 3", "--rhs", "5", "--k-max", "1"],
                                  {}, {}),
@@ -131,6 +150,9 @@ CASES = {
                                 {}, {}),
     "solve-dioph-missing-file": (
         ["solve-dioph", "--matrix-file", "{tmp}/missing.txt", "--rhs", "1"], {}, {}),
+    # A malformed matrix file is an input error: exit code 1.
+    "sparsify-matrix-file-parse-error": (["sparsify", "--matrix-file", "{tmp}/bad-matrix.txt"],
+                                         {}, {}),
     "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}, {}),
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}, {}),
     "solve-semigroup-one-row-zero-tau": (
