@@ -2,9 +2,12 @@
 subcommand in both output formats, for solved, infeasible, undetermined
 and error runs, plus the README's examples.
 
-The expected transcripts live in `cli_golden.json`. After a deliberate
-change of output, rewrite it as below, which prints the name of every
-entry that changed, and review the diff:
+The expected transcripts live in `cli_golden.json`, the one statement
+of the CLI's behaviour. Every run is checked in-process; where the
+`sparsedioph` console script is on PATH (`pip install .`), every run
+that patches no module constant is also replayed through it in a fresh
+process. After a deliberate change of output, rewrite the file as below,
+which prints the name of every entry that changed, and review the diff:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -14,6 +17,7 @@ import importlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +99,7 @@ CASES = {
     "bounds-extreme-ray": (["bounds", "--matrix", "1 2 3; 4 5 7", "--extreme-ray", "3"], {}, {}),
     "bounds-mixed-row": (["bounds", "--matrix", "3 -5"], {}, {}),
     "bounds-unsplit-delta": (["bounds", "--matrix", UNSPLIT], {}, {}),
+    # A row of one sign makes the cone pointed.
     "bounds-negative-row": (["bounds", "--matrix", "-3 -5 -7; 2 0 1"], {}, {}),
     "worst-case-one-row": (["worst-case", "--m", "1", "--delta", "30"], {}, {}),
     "oracle-two-rows": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "2 3"], {}, {}),
@@ -117,7 +122,7 @@ CASES = {
     "knapsack-mixed-infeasible": (["knapsack", "--mixed", "--a", "4 -6", "--b", "1"], {}, {}),
     "oracle-infeasible": (["oracle", "--matrix", "2 4", "--rhs", "3"], {}, {}),
     # Every column sums to 6 and 7 + 9 = 16 is no multiple of 6: b is
-    # outside the lattice.
+    # outside the lattice, which proves infeasibility with no enumeration.
     "oracle-two-rows-outside-lattice": (
         ["oracle", "--matrix", "1 2 3 4 5; 5 4 3 2 1", "--rhs", "7 9"], {}, {}),
     # Undetermined.
@@ -126,6 +131,8 @@ CASES = {
     "knapsack-cap-env": (["knapsack", "--positive", "--a", "2 3", "--b", "999999"],
                          {"SPARSEDIOPH_B_CAP": "10"}, {}),
     "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {}, {"oracle.ICR_SCAN_CAP": 40}),
+    # The one-row oracle's bitset is capped: undetermined, exit code 3, and
+    # no traceback.
     "oracle-one-row-cap": (["oracle", "--matrix", "3 5", "--rhs", "100000000000000"], {}, {}),
     # 2 x (2 + 2 + 1) entries for delta = 2^2 * 3 fill a cap of 10 exactly;
     # delta = 2^2 * 3 * 5 needs one more column.
@@ -191,8 +198,9 @@ CASES = {
     "bounds-rank-deficient-extreme-ray": (
         ["bounds", "--matrix", RANK_1, "--extreme-ray", "9"], {}, {}),
     # Columns that do not positively span R^m: lattice solutions that are
-    # already nonnegative, one that needs a lift, a short rhs, a b outside
-    # the lattice and a dependent tau.
+    # already nonnegative, one that needs a lift (exit code 1), a short rhs,
+    # a b outside the lattice (infeasible, as with spanning columns) and a
+    # dependent tau.
     "solve-semigroup-identity-nonnegative": (
         ["solve-semigroup", "--matrix", "1 0; 0 1", "--rhs", "1 1"], {}, {}),
     "solve-semigroup-identity-needs-lift": (
@@ -223,6 +231,7 @@ CASES = {
     "usage-two-matrices": (["sparsify", "--matrix", "1", "--matrix-file", "A.txt"], {}, {}),
     "usage-not-an-int": (["factor", "abc"], {}, {}),
     "usage-no-command": ([], {}, {}),
+    # A leftover argument is a usage error that says why: exit code 1.
     "usage-unrecognized-argument": (["sparsify", "--matrix", "1 2", "--bogus"], {}, {}),
     "usage-version": (["--version"], {}, {}),
 }
@@ -285,6 +294,26 @@ def test_module_entry_point_matches_the_golden_run(golden):
     expected = golden["readme-knapsack-positive"]
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         expected["code"], expected["stdout"], expected["stderr"])
+
+
+SCRIPT = shutil.which("sparsedioph")
+# A module constant cannot be patched in another process.
+REPLAYS = [(name, argv, env) for name, argv, env, consts in _runs() if not consts]
+
+
+@pytest.mark.skipif(SCRIPT is None, reason="the sparsedioph console script is not on PATH")
+@pytest.mark.parametrize("name, argv, env", REPLAYS, ids=[r[0] for r in REPLAYS])
+def test_installed_script_replays_the_transcript(name, argv, env, golden, tmp_path):
+    _write_files(tmp_path)
+    environ = {k: v for k, v in os.environ.items() if k != cli.B_CAP_ENV}
+    environ.update(env, COLUMNS="80", PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([SCRIPT, *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
+                          capture_output=True, env=environ, timeout=120)
+    expected = golden[name]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected["code"],
+        expected["stdout"].replace("{tmp}", str(tmp_path)).encode("utf-8"),
+        expected["stderr"].replace("{tmp}", str(tmp_path)).encode("utf-8"))
 
 
 @pytest.mark.parametrize("name, code", [("knapsack-positive-infeasible", 2),
