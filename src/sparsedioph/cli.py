@@ -126,17 +126,29 @@ def _emit(doc: dict, as_json: bool, out):
     emit_value("", doc)
 
 
+def _read_ascii(path) -> str:
+    """The text of an input file; a byte outside ASCII is a ParseError at
+    its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # The sentinel ends the bad byte's line, so splitlines counts it.
+        lines = (data[:exc.start].decode("ascii") + "?").splitlines()
+        raise ParseError(f"expected ASCII, got byte 0x{data[exc.start]:02x}",
+                         len(lines), len(lines[-1]), path)
+
+
 def _load_matrix(args) -> IntMatrix:
     if getattr(args, "matrix_file", None):
-        with open(args.matrix_file, "r", encoding="ascii") as fh:
-            return parse_matrix_text(fh.read(), source=args.matrix_file)
+        return parse_matrix_text(_read_ascii(args.matrix_file), source=args.matrix_file)
     return parse_inline_matrix(args.matrix, source="--matrix")
 
 
 def _load_rhs(args):
     if getattr(args, "rhs_file", None):
-        with open(args.rhs_file, "r", encoding="ascii") as fh:
-            return parse_vector_text(fh.read(), source=args.rhs_file)
+        return parse_vector_text(_read_ascii(args.rhs_file), source=args.rhs_file)
     return parse_inline_vector(args.rhs, source="--rhs")
 
 

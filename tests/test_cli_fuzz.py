@@ -6,13 +6,16 @@ Each run must exit with 0, 1, 2 or 3 and print no traceback, every
 `infeasible` JSON document must pass a check from `oracles.py` that does
 not run the code that produced it. The arguments stay at desk scale; the
 package's own counted caps bound the rest of the work, so the test needs
-no alarm.
+no alarm. Matrix and rhs files with a byte outside ASCII must end as one
+input error that names the file, line and column of that byte.
 """
 
 import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,3 +202,47 @@ def test_every_run_ends_cleanly(argv):
         doc = json.loads(out.getvalue())
         assert doc["status"] == ("solved" if code == 0 else "infeasible")
         check(doc)
+
+
+# Digits, signs and separators, CR, LF and NUL, and bytes outside ASCII.
+FILE_BYTE = st.one_of(st.sampled_from(b"0123456789 -;\t\r\n\x00"), st.integers(0x80, 0xFF))
+FILE_RUNS = (
+    ["sparsify", "--matrix-file", "{f}"],
+    ["bounds", "--matrix-file", "{f}"],
+    ["solve-dioph", "--matrix-file", "{f}", "--rhs", "1"],
+    ["solve-semigroup", "--matrix", "1 -1", "--rhs-file", "{f}"],
+    ["oracle", "--matrix", "2 3", "--rhs-file", "{f}"],
+)
+
+
+@st.composite
+def _non_ascii_files(draw):
+    """Random bytes with a UTF-8 byte order mark in front or one byte
+    outside ASCII somewhere."""
+    data = bytes(draw(st.lists(FILE_BYTE, max_size=40)))
+    if draw(st.booleans()):
+        return b"\xef\xbb\xbf" + data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+def _first_non_ascii(data: bytes):
+    """(line, column, byte) of the first byte outside ASCII, with CR LF, CR
+    and LF each ending a line."""
+    at = next(i for i, v in enumerate(data) if v > 0x7F)
+    before = data[:at].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return before.count(b"\n") + 1, len(before) - before.rfind(b"\n"), data[at]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_non_ascii_files(), st.sampled_from(FILE_RUNS), st.booleans())
+def test_a_non_ascii_file_is_an_input_error(data, argv, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "input.txt")
+        path.write_bytes(data)
+        argv = [a.replace("{f}", str(path)) for a in argv] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, out=out, err=err)
+    line, column, byte = _first_non_ascii(data)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", f"error: {path}:{line}:{column}: expected ASCII, got byte 0x{byte:02x}\n")

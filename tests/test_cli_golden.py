@@ -38,6 +38,9 @@ FILES = {
     "b.txt": "2 4\n",
     "bad.txt": "1 3\n6 ten 15\n",
     "bad-matrix.txt": "1 3\n4 x 9\n",
+    # Written byte for byte: a UTF-8 byte order mark and a Latin-1 e-acute.
+    "bom.txt": "\xef\xbb\xbf1 2\n3 4\n",
+    "latin-1.txt": "1 2\n3 \xe9\n",
 }
 
 # name -> (argv, environment, module constants as {"module.NAME": value});
@@ -160,6 +163,12 @@ CASES = {
     # A malformed matrix file is an input error: exit code 1.
     "sparsify-matrix-file-parse-error": (["sparsify", "--matrix-file", "{tmp}/bad-matrix.txt"],
                                          {}, {}),
+    # Input files are ASCII: the first other byte is an input error at its
+    # line and column.
+    "sparsify-matrix-file-bom": (["sparsify", "--matrix-file", "{tmp}/bom.txt"], {}, {}),
+    "sparsify-matrix-file-latin-1": (["sparsify", "--matrix-file", "{tmp}/latin-1.txt"], {}, {}),
+    "solve-dioph-rhs-file-latin-1": (
+        ["solve-dioph", "--matrix", "1 2; 3 4", "--rhs-file", "{tmp}/latin-1.txt"], {}, {}),
     "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}, {}),
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}, {}),
     "solve-semigroup-one-row-zero-tau": (
@@ -266,7 +275,7 @@ def transcript(argv, env, consts, tmp, monkeypatch):
 
 def _write_files(tmp):
     for name, text in FILES.items():
-        (tmp / name).write_text(text)
+        (tmp / name).write_bytes(text.encode("latin-1"))
 
 
 @pytest.fixture(scope="module")
