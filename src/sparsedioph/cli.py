@@ -134,7 +134,7 @@ def _read_ascii(path) -> str:
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        # The sentinel ends the bad byte's line, so splitlines counts it.
+        # "?" stands in for the bad byte, so its line is always the last one.
         lines = (data[:exc.start].decode("ascii") + "?").splitlines()
         raise ParseError(f"expected ASCII, got byte 0x{data[exc.start]:02x}",
                          len(lines), len(lines[-1]), path)
