@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -46,8 +45,6 @@ from .semigroup import (
     sparsity_bounds,
 )
 from .sparsify import first_nonsingular_basis, sparsify, worst_case_instance
-
-B_CAP_ENV = "SPARSEDIOPH_B_CAP"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -224,8 +221,8 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--positive", action="store_true", help="all weights positive")
     mode.add_argument("--mixed", action="store_true", help="weights of both signs")
-    p.add_argument("--b-cap", type=int, default=None, metavar="INT",
-                   help=f"cap on b/gcd (default ${B_CAP_ENV} or {DEFAULT_B_CAP})")
+    p.add_argument("--b-cap", type=int, default=DEFAULT_B_CAP, metavar="INT",
+                   help=f"cap on b/gcd (default {DEFAULT_B_CAP})")
 
     p = sub.add_parser("bounds", help="evaluate all sparsity bounds for an instance")
     _add_matrix_args(p)
@@ -320,16 +317,7 @@ def _cmd_knapsack(args, doc):
         "mode": "positive" if args.positive else "mixed",
     }
     if args.positive:
-        cap = args.b_cap
-        if cap is None:
-            raw = os.environ.get(B_CAP_ENV, str(DEFAULT_B_CAP))
-            try:
-                cap = int(raw, 10)
-            except ValueError:
-                raise ParseError(
-                    f"expected an integer, got {raw!r}", 1, 1, f"${B_CAP_ENV}"
-                )
-        report = solve_knapsack_positive(a, args.b, b_cap=cap)
+        report = solve_knapsack_positive(a, args.b, b_cap=args.b_cap)
     else:
         report = solve_knapsack_mixed(a, args.b)
     _report(doc, IntMatrix.row_vector(a), (args.b,), report)

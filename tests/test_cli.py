@@ -21,11 +21,8 @@ SPLIT = f"{P45} 0 -1; 0 {Q45} -1"
 UNSPLIT = f"1 0 -1; 0 {P45 * Q45} -1"
 
 
-def invoke(argv, env=None, monkeypatch=None):
+def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
-    if env:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -67,15 +64,6 @@ def test_knapsack_cap_exit_code():
     )
     assert code == 3
     assert "status = undetermined" in out
-
-
-def test_knapsack_cap_from_env(monkeypatch):
-    code, out, _ = invoke(
-        ["knapsack", "--positive", "--a", "2 3", "--b", "999999"],
-        env={"SPARSEDIOPH_B_CAP": "10"},
-        monkeypatch=monkeypatch,
-    )
-    assert code == 3
 
 
 def test_knapsack_mixed():
