@@ -24,7 +24,7 @@ def basic_feasible_point(
     Entries are ints. Returns (x, d): n integers with at most rank(A)
     nonzero entries and a denominator d > 0, the point being x_j / d; or
     None when the system is infeasible. Redundant equality rows are
-    tolerated and dropped internally.
+    tolerated: the artificial of each stays basic at zero.
     """
     m = len(rows)
     if m == 0:
@@ -50,27 +50,6 @@ def basic_feasible_point(
     basis = [n + i for i in range(m)]
     denom = 1  # the current tableau is tableau / denom
 
-    def pivot(r: int, c: int):
-        nonlocal denom
-        prow = tableau[r]
-        p = prow[c]
-        if p < 0:
-            # Only when an artificial at level zero is driven out. Negating
-            # the pivot row keeps denom positive, so the signs of T stay
-            # those of the tableau.
-            prow = tableau[r] = [-v for v in prow]
-            p = -p
-        for i, row in enumerate(tableau):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                tableau[i] = [(v * p - f * w) // denom for v, w in zip(row, prow)]
-            elif p != denom:
-                tableau[i] = [v * p // denom for v in row]
-        denom = p
-        basis[r] = c
-
     while True:
         cost = tableau[m]
         entering = next((j for j in range(width) if cost[j] < 0), None)
@@ -93,19 +72,26 @@ def basic_feasible_point(
         if leaving is None:
             # Phase-I objective is bounded below by zero; unreachable.
             raise AssertionError("phase-I simplex reported unbounded")
-        pivot(leaving, entering)
+        # The pivot p is positive, as the ratio test takes positive entries
+        # only, so denom stays positive and T keeps the tableau's signs.
+        prow = tableau[leaving]
+        p = prow[entering]
+        for i, row in enumerate(tableau):
+            if i == leaving:
+                continue
+            f = row[entering]
+            if f:
+                tableau[i] = [(v * p - f * w) // denom for v, w in zip(row, prow)]
+            elif p != denom:
+                tableau[i] = [v * p // denom for v in row]
+        denom = p
+        basis[leaving] = entering
 
     if tableau[m][width] != 0:
         return None
 
-    # Drive leftover artificials out of the basis; rows that cannot pivot
-    # on a structural column are redundant equalities.
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if col is not None:
-                pivot(i, col)
-
+    # An artificial still basic sits at zero, as does that of every
+    # redundant row; x is the structural part of the basic point.
     x = [0] * n
     for i in range(m):
         if basis[i] < n:

@@ -104,10 +104,10 @@ def test_random_instances_are_basic():
     assert feasible_seen > 40
 
 
-def test_negative_pivot_when_driving_out_an_artificial():
-    # Phase I ends with the second artificial basic at level zero over a
-    # -2 entry, so the fraction-free pivot negates its row.
-    rows = [[1, 1, 0], [1, -1, 0], [0, 0, 3]]
+def test_the_artificial_of_a_redundant_row_stays_basic():
+    # The second row is twice the first: phase I ends with its artificial
+    # basic at level zero, and x is read off the structural columns.
+    rows = [[1, 1, 0], [2, 2, 0], [0, 0, 3]]
     point = as_fractions(basic_feasible_point(rows, [0, 0, 5]))
     assert point == [0, 0, Fraction(5, 3)]
     assert point == basic_feasible_point_fraction(rows, [0, 0, 5])
