@@ -28,6 +28,7 @@ from . import __version__
 from .diophsolve import SolutionReport, solve_sparse_lattice
 from .errors import CapExceeded, Error, ParseError
 from .fileio import (
+    _int,
     format_matrix,
     parse_inline_matrix,
     parse_inline_vector,
@@ -183,6 +184,15 @@ def _report(doc: dict, A: IntMatrix, b, report: SolutionReport | None) -> None:
     doc["verified"] = verified
 
 
+def _int_arg(text: str) -> int:
+    """argparse type of every integer option: `fileio._int`, with the
+    error text of type=int."""
+    try:
+        return _int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _add_matrix_args(p: _Parser, rhs: bool = False):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix-file", metavar="PATH", help="matrix file (`m n` header)")
@@ -198,7 +208,7 @@ def build_parser() -> _Parser:
     # which is about the code.
     parser = _Parser(prog="sparsedioph", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     # Subcommand name -> its parser, for `_parse`.
     parser._commands = sub.choices
 
@@ -217,34 +227,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("knapsack", help="sparse nonnegative knapsack solution")
     p.add_argument("--a", required=True, metavar="INTS", help="weights")
-    p.add_argument("--b", required=True, type=int, metavar="INT")
+    p.add_argument("--b", required=True, type=_int_arg, metavar="INT")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--positive", action="store_true", help="all weights positive")
     mode.add_argument("--mixed", action="store_true", help="weights of both signs")
-    p.add_argument("--b-cap", type=int, default=DEFAULT_B_CAP, metavar="INT",
+    p.add_argument("--b-cap", type=_int_arg, default=DEFAULT_B_CAP, metavar="INT",
                    help=f"cap on b/gcd (default {DEFAULT_B_CAP})")
 
     p = sub.add_parser("bounds", help="evaluate all sparsity bounds for an instance")
     _add_matrix_args(p)
     p.add_argument("--tau", metavar="INTS")
-    p.add_argument("--extreme-ray", type=int, default=None, metavar="INDEX",
+    p.add_argument("--extreme-ray", type=_int_arg, default=None, metavar="INDEX",
                    help="1-based column to use for the pointed-cone bound")
 
     p = sub.add_parser("worst-case", help="instance with tight sparsification bound")
-    p.add_argument("--m", required=True, type=int, metavar="INT")
-    p.add_argument("--delta", required=True, type=int, metavar="INT")
+    p.add_argument("--m", required=True, type=_int_arg, metavar="INT")
+    p.add_argument("--delta", required=True, type=_int_arg, metavar="INT")
 
     p = sub.add_parser("oracle", help="exact minimum support by brute force")
     _add_matrix_args(p, rhs=True)
-    p.add_argument("--k-max", type=int, default=None, metavar="INT")
-    p.add_argument("--coord-cap", type=int, default=DEFAULT_COORD_CAP, metavar="INT")
+    p.add_argument("--k-max", type=_int_arg, default=None, metavar="INT")
+    p.add_argument("--coord-cap", type=_int_arg, default=DEFAULT_COORD_CAP, metavar="INT")
 
     p = sub.add_parser("icr-scan", help="lower bound on the integer Caratheodory rank")
     p.add_argument("--a", required=True, metavar="INTS")
-    p.add_argument("--b-max", required=True, type=int, metavar="INT")
+    p.add_argument("--b-max", required=True, type=_int_arg, metavar="INT")
 
     p = sub.add_parser("factor", help="prime factorization")
-    p.add_argument("z", type=int)
+    p.add_argument("z", type=_int_arg)
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true")

@@ -1,8 +1,9 @@
 """Parsing and formatting of the plain-text matrix and vector formats.
 
 Matrix files: first line `m n`, then m lines of n base-10 integers
-separated by whitespace. Vector files: one line of integers. Parse errors
-carry 1-based line and column positions.
+separated by whitespace. Vector files: one line of integers. An integer is
+an optional sign and ASCII digits, in these formats and in every integer
+option of the CLI. Parse errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ import re
 from .errors import ParseError
 from .intlinalg import IntMatrix, IntVector
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The integer `text` spells, or ValueError; int() alone also takes
+    underscores, non-ASCII digits and surrounding whitespace."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
 
 def _tokenize_line(line: str, lineno: int, source: str):
     """(value, 1-based column) of each whitespace-separated integer;
@@ -20,20 +31,24 @@ def _tokenize_line(line: str, lineno: int, source: str):
     for match in re.finditer(r"\S+", line):
         token, column = match.group(), match.start() + 1
         try:
-            out.append((int(token, 10), column))
+            out.append((_int(token), column))
         except ValueError:
             raise ParseError(f"expected an integer, got {token!r}", lineno, column, source)
     return out
 
 
 def _ints(line: str, lineno: int, source: str) -> list[int]:
-    """The integers of one line. `str.split` cuts it at the same whitespace
-    as `_tokenize_line`, which only a line with a bad token reaches: it
-    raises the ParseError that names the token."""
-    try:
-        return [int(t, 10) for t in line.split()]
-    except ValueError:
-        return [v for v, _ in _tokenize_line(line, lineno, source)]
+    """The integers of one line. On an ASCII line without underscores,
+    int() takes just what `_int` takes and `str.split` cuts at the same
+    whitespace as `_tokenize_line`. Any other line, and a line with a bad
+    token, goes through `_tokenize_line`, which raises the ParseError that
+    names the token."""
+    if line.isascii() and "_" not in line:
+        try:
+            return [int(t, 10) for t in line.split()]
+        except ValueError:
+            pass
+    return [v for v, _ in _tokenize_line(line, lineno, source)]
 
 
 def parse_matrix_text(text: str, source: str = "<input>") -> IntMatrix:

@@ -7,13 +7,16 @@ Each run must exit with 0, 1, 2 or 3 and print no traceback, every
 not run the code that produced it. The arguments stay at desk scale; the
 package's own counted caps bound the rest of the work, so the test needs
 no alarm. Matrix and rhs files with a byte outside ASCII must end as one
-input error that names the file, line and column of that byte.
+input error that names the file, line and column of that byte, and an
+integer with an underscore or a digit outside ASCII, in any argument, as
+one input or usage error.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -202,6 +205,39 @@ def test_every_run_ends_cleanly(argv):
         doc = json.loads(out.getvalue())
         assert doc["status"] == ("solved" if code == 0 else "infeasible")
         check(doc)
+
+
+# Zero of Arabic-Indic, Devanagari and fullwidth digits; int() reads all three.
+DIGIT_ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+@st.composite
+def _loose_integer_argvs(draw):
+    """An argv of `argvs` with one integer of one argument spelt with an
+    underscore or with digits outside ASCII."""
+    argv = draw(argvs())
+    # Every command takes at least one integer.
+    spots = [(i, m) for i, a in enumerate(argv[1:], 1) for m in re.finditer(r"[0-9]+", a)]
+    i, match = draw(st.sampled_from(spots))
+    digits = match.group()
+    if draw(st.booleans()):
+        loose = digits[0] + "_" + digits[1:] if len(digits) > 1 else digits + "_0"
+    else:
+        zero = ord(draw(st.sampled_from(DIGIT_ZEROS)))
+        loose = "".join(chr(zero + int(d)) for d in digits)
+    a = argv[i]
+    return argv[:i] + [a[:match.start()] + loose + a[match.end():]] + argv[i + 1:]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_loose_integer_argvs())
+def test_a_loose_integer_is_an_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv, out=out, err=err)
+    assert (code, out.getvalue()) == (1, ""), argv
+    assert "Traceback" not in err.getvalue()
+    assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
 
 
 # Digits, signs and separators, CR, LF and NUL, and bytes outside ASCII.

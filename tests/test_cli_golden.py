@@ -41,6 +41,7 @@ FILES = {
     # Written byte for byte: a UTF-8 byte order mark and a Latin-1 e-acute.
     "bom.txt": "\xef\xbb\xbf1 2\n3 4\n",
     "latin-1.txt": "1 2\n3 \xe9\n",
+    "underscore.txt": "1 2\n1_2 +3\n",
 }
 
 # name -> (argv, module constants as {"module.NAME": value});
@@ -161,6 +162,10 @@ CASES = {
     "solve-dioph-rhs-file-latin-1": (
         ["solve-dioph", "--matrix", "1 2; 3 4", "--rhs-file", "{tmp}/latin-1.txt"], {}),
     "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}),
+    # An integer is an optional sign and ASCII digits: int() alone would
+    # read Arabic-Indic digits and underscores as 12 18, and 1_2 as 12.
+    "sparsify-inline-non-ascii-digits": (["sparsify", "--matrix", "\u0661\u0662 1_8"], {}),
+    "sparsify-matrix-file-underscore": (["sparsify", "--matrix-file", "{tmp}/underscore.txt"], {}),
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}),
     "solve-semigroup-one-row-zero-tau": (
         ["solve-semigroup", "--matrix", "6 0 -10 15", "--rhs", "-7", "--tau", "2"], {}),
@@ -222,6 +227,11 @@ CASES = {
     "usage-unknown-command": (["no-such-command"], {}),
     "usage-two-matrices": (["sparsify", "--matrix", "1", "--matrix-file", "A.txt"], {}),
     "usage-not-an-int": (["factor", "abc"], {}),
+    # Integer options take the same integers as the matrix formats.
+    "usage-underscore-b": (["knapsack", "--positive", "--a", "2 3", "--b", "1_0"], {}),
+    "usage-underscore-z": (["factor", "1_2"], {}),
+    "usage-non-ascii-digit-extreme-ray": (
+        ["bounds", "--matrix", "3 5 7", "--extreme-ray", "\u0663"], {}),
     "usage-no-command": ([], {}),
     # A leftover argument is a usage error that says why: exit code 1.
     "usage-unrecognized-argument": (["sparsify", "--matrix", "1 2", "--bogus"], {}),
@@ -279,7 +289,7 @@ def test_the_environment_sets_no_knapsack_cap(golden, tmp_path, monkeypatch):
     monkeypatch.setenv("SPARSEDIOPH_B_CAP", "10")
     runs = [(name, argv) for name, argv, _ in _runs() if argv[:1] == ["knapsack"]
             and "--positive" in argv]
-    assert len(runs) == 12
+    assert len(runs) == 13
     for name, argv in runs:
         assert transcript(argv, {}, tmp_path, monkeypatch) == golden[name], name
 

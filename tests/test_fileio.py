@@ -115,8 +115,9 @@ def test_split_and_tokenizer_agree(line):
         "6 x 15",  # bad token mid-row
         "1 2 3-",
         "\x1c1\x1c-2\x1d3\x1e",  # separators that str.isspace() accepts
-        "١٢ -３",  # non-ASCII digits: 12 and -3
-        "1_000 +7",
+        "١٢ -３",  # non-ASCII digits: an error at column 1
+        "1_000 +7",  # an underscore: an error at column 1
+        "+7 -0 007",
         "",
     ],
 )
@@ -131,4 +132,16 @@ def test_row_errors_name_their_position():
         "ParseError", 3, 4, "A.txt", "row 2 has 2 entries, expected 3")
     assert _outcome(parse_vector_text, "4 -6 0y\n", "b.txt") == (
         "ParseError", 1, 6, "b.txt", "expected an integer, got '0y'")
-    assert parse_matrix_text("1 2\n١٢\x1f-３\n").to_rows() == [[12, -3]]
+    assert _outcome(parse_matrix_text, "1 2\n١٢\x1f-３\n", "A.txt") == (
+        "ParseError", 2, 1, "A.txt", "expected an integer, got '١٢'")
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "+12", "007", "-123456789012345678901234567890"])
+def test_an_integer_is_a_sign_and_ascii_digits(text):
+    assert fileio._int(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ["", "+", "1_0", "١٢", "３", " 1", "1\n", "1.0", "0x10", "--1"])
+def test_anything_else_is_not_an_integer(text):
+    with pytest.raises(ValueError, match="invalid int value"):
+        fileio._int(text)
