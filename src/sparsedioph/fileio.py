@@ -13,13 +13,12 @@ import re
 from .errors import ParseError
 from .intlinalg import IntMatrix, IntVector
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
 
 def _int(text: str) -> int:
     """The integer `text` spells, or ValueError; int() alone also takes
     underscores, non-ASCII digits and surrounding whitespace."""
-    if not _INTEGER.fullmatch(text):
+    digits = text[1:] if text[:1] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
