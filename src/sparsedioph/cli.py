@@ -185,8 +185,7 @@ def _report(doc: dict, A: IntMatrix, b, report: SolutionReport | None) -> None:
 
 
 def _int_arg(text: str) -> int:
-    """argparse type of every integer option: `fileio._int`, with the
-    error text of type=int."""
+    # The type of every integer option: fileio's rule, type=int's error text.
     try:
         return _int(text)
     except ValueError as exc:

@@ -38,10 +38,9 @@ def _tokenize_line(line: str, lineno: int, source: str):
 
 def _ints(line: str, lineno: int, source: str) -> list[int]:
     """The integers of one line. On an ASCII line without underscores,
-    int() takes just what `_int` takes and `str.split` cuts at the same
-    whitespace as `_tokenize_line`. Any other line, and a line with a bad
-    token, goes through `_tokenize_line`, which raises the ParseError that
-    names the token."""
+    int() takes just what `_int` takes, and `str.split` cuts where
+    `_tokenize_line` does; other lines and bad tokens go through
+    `_tokenize_line`, which names the bad token in its ParseError."""
     if line.isascii() and "_" not in line:
         try:
             return [int(t, 10) for t in line.split()]
