@@ -163,7 +163,7 @@ CASES = {
         ["solve-dioph", "--matrix", "1 2; 3 4", "--rhs-file", "{tmp}/latin-1.txt"], {}),
     "sparsify-inline-parse-error": (["sparsify", "--matrix", "1 x 3"], {}),
     # An integer is an optional sign and ASCII digits: int() alone would
-    # read Arabic-Indic digits and underscores as 12 18, and 1_2 as 12.
+    # read the row below as 12 18, and the file's row 1_2 +3 as 12 3.
     "sparsify-inline-non-ascii-digits": (["sparsify", "--matrix", "\u0661\u0662 1_8"], {}),
     "sparsify-matrix-file-underscore": (["sparsify", "--matrix-file", "{tmp}/underscore.txt"], {}),
     "sparsify-singular-tau": (["sparsify", "--matrix", "1 2 3; 2 4 5", "--tau", "1 2"], {}),
