@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands cover every solver, the bounds report, the worst-case
-generator, the brute-force oracles and factorization. Results print as
+generator, the exact oracles and factorization. Results print as
 stable `key = value` lines, or as a single self-describing JSON document
 with `--json`; all integers in JSON are decimal strings, so nothing is
 ever truncated. Exit codes: 0 solved/feasible, 2 proven infeasible,
@@ -37,7 +37,7 @@ from .fileio import (
 )
 from .intlinalg import IntMatrix, _reduce, hnf_basis
 from .numtheory import factorize
-from .oracle import DEFAULT_COORD_CAP, icr_scan, min_support_exact
+from .oracle import icr_scan, min_support_exact
 from .semigroup import (
     DEFAULT_B_CAP,
     solve_knapsack_mixed,
@@ -243,10 +243,9 @@ def build_parser() -> _Parser:
     p.add_argument("--m", required=True, type=_int_arg, metavar="INT")
     p.add_argument("--delta", required=True, type=_int_arg, metavar="INT")
 
-    p = sub.add_parser("oracle", help="exact minimum support by brute force")
+    p = sub.add_parser("oracle", help="exact minimum support by exhaustive search")
     _add_matrix_args(p, rhs=True)
     p.add_argument("--k-max", type=_int_arg, default=None, metavar="INT")
-    p.add_argument("--coord-cap", type=_int_arg, default=DEFAULT_COORD_CAP, metavar="INT")
 
     p = sub.add_parser("icr-scan", help="lower bound on the integer Caratheodory rank")
     p.add_argument("--a", required=True, metavar="INTS")
@@ -365,14 +364,9 @@ def _cmd_oracle(args, doc):
     A = _load_matrix(args)
     b = _load_rhs(args)
     k_max = args.k_max if args.k_max is not None else A.cols
-    complete = A.rows == 1 and k_max >= A.cols
     doc["instance"] = {"matrix": _mat(A), "rhs": _vec(b)}
-    doc["regime"] = {
-        "k_max": _s(k_max),
-        "coord_cap": _s(args.coord_cap),
-        "complete": complete,
-    }
-    found = min_support_exact(A, b, k_max=k_max, coord_cap=args.coord_cap)
+    doc["regime"] = {"k_max": _s(k_max), "complete": k_max >= A.cols}
+    found = min_support_exact(A, b, k_max=k_max)
     if found is None:
         doc["status"] = "infeasible"
     else:

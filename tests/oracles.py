@@ -27,8 +27,13 @@ kernel vector, `reduce_knapsack_support_by_kernels`, is kept as the
 reference for the loop that finds its own collisions: the same kernel
 vectors, so the two must return the same x.
 The `icr_scan` that built every subset's closure from scratch is kept as
-the reference for the one that adds one weight to a closure one level
-down: both must return the same value or stop at the same work cap.
+the reference for the one that adds one weight to its prefix's closure,
+depth first: both must return the same value or stop at the same work
+cap. The two searches that `min_support_exact` replaced are kept as
+references for it: `min_support_bounded`, the multi-row enumeration of
+entries up to a cap, whose answer the exact one never exceeds, and
+`min_support_one_row`, the complete one-row search on bitset closures,
+which it must equal.
 The mixed-sign knapsack taken through the general positively-spanning
 lift (sparsify, a lattice solve and the phase-I LP) on every singleton
 basis, `solve_knapsack_mixed_by_lifts`, is kept as the reference for the
@@ -398,6 +403,65 @@ def knapsack_min_support_dfs(weights, b: int):
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             if representable([weights[j] for j in combo], b):
+                return k
+    return None
+
+
+def min_support_bounded(A: IntMatrix, b, k_max: Optional[int] = None, coord_cap: int = 50):
+    """The superseded multi-row `min_support_exact`: the smallest support
+    of an x with A x = b and every entry on it in 1..coord_cap, found by
+    depth-first enumeration with the last coordinate solved directly, or
+    None when no support up to k_max has one. None proves nothing."""
+    b = list(b)
+    if not any(b):
+        return 0
+
+    def search(columns) -> bool:
+        last = len(columns) - 1
+
+        def descend(idx, residual) -> bool:
+            col = columns[idx]
+            if idx == last:
+                anchor = next((i for i, v in enumerate(col) if v != 0), None)
+                if anchor is None:
+                    return not any(residual)
+                q, r = divmod(residual[anchor], col[anchor])
+                return r == 0 and 1 <= q <= coord_cap and all(
+                    residual[i] == q * col[i] for i in range(len(col)))
+            return any(descend(idx + 1, [r - x * c for r, c in zip(residual, col)])
+                       for x in range(1, coord_cap + 1))
+
+        return descend(0, b)
+
+    for k in range(1, min(A.cols, A.cols if k_max is None else k_max) + 1):
+        for subset in itertools.combinations(range(A.cols), k):
+            if search([A.column(j) for j in subset]):
+                return k
+    return None
+
+
+def min_support_one_row(row, b: int) -> Optional[int]:
+    """The superseded one-row `min_support_exact`: a complete search over
+    supports by size. Weights of both signs reach every multiple of their
+    gcd with all coefficients >= 1; weights of one sign reach b iff
+    |b - their sum| is in the bitset closure of their absolute values."""
+    if b == 0:
+        return 0
+
+    def feasible(weights) -> bool:
+        residual = b - sum(weights)
+        if min(weights) < 0 < max(weights):
+            return residual % math.gcd(*weights) == 0
+        if max(weights) <= 0:
+            weights, residual = [-w for w in weights], -residual
+        g = math.gcd(*weights)
+        if residual < 0 or not g or residual % g:
+            return residual == 0
+        return bool(_closure_bitset([w // g for w in weights], residual // g) >> (residual // g) & 1)
+
+    for k in range(1, len(row) + 1):
+        for subset in itertools.combinations(row, k):
+            if feasible(list(subset)):
                 return k
     return None
 

@@ -153,25 +153,34 @@ def test_oracle_exit_codes():
     code, out, _ = invoke(
         ["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"]
     )
+    assert code == 2
+    assert "status = infeasible" in out
+    code, out, _ = invoke(
+        ["oracle", "--matrix", "1 0; 0 1", "--rhs", "1 1", "--k-max", "1"]
+    )
     assert code == 3
     assert "status = undetermined" in out
-    assert "reason = no solution with support <= 2 and entries <= 50" in out
+    assert "reason = no solution with support <= 1" in out
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
-        # b in the lattice with nothing found, and b outside it.
-        (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"], 3),
+        # b in the lattice with nothing found under --k-max, and b outside it.
+        (["oracle", "--matrix", "1 0; 0 1", "--rhs", "1 1", "--k-max", "1"], 3),
         (["oracle", "--matrix", "1 2 3 4 5; 5 4 3 2 1", "--rhs", "7 9"], 2),
         (["oracle", "--matrix", "2 3", "--rhs", "5", "--k-max", "1"], 3),
     ],
 )
 def test_oracle_tests_membership_once(monkeypatch, argv, code):
-    calls = []
-    count_calls(monkeypatch, intlinalg, "lattice_member", lambda *args: calls.append(args))
+    # b in L(A) is one reduction on the canonical basis of all n columns;
+    # lattice_member's solve on {(A y, y)} is never run.
+    solves, sizes = [], []
+    count_calls(monkeypatch, intlinalg, "lattice_member", lambda *args: solves.append(args))
+    count_calls(monkeypatch, intlinalg, "hnf_basis", lambda cols, m: sizes.append(len(cols)))
     assert invoke(argv)[0] == code
-    assert len(calls) == 1
+    n = len(argv[2].split(";")[0].split())
+    assert (solves, sizes.count(n)) == ([], 1)
 
 
 def test_icr_scan():
@@ -205,18 +214,18 @@ def test_work_caps_end_with_exit_3(monkeypatch):
         "command = icr-scan\ninstance.a = 2 3\ninstance.b_max = 40\nstatus = undetermined\n"
         "reason = subset closures x (b_max/gcd + 1) bits exceed cap 122\n"
     )
-    monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 3)
-    argv = ["oracle", "--matrix", "1 0 2; 0 1 3", "--rhs", "1 1"]
+    monkeypatch.setattr(oracle, "MIN_SUPPORT_NODE_CAP", 5)
+    argv = ["oracle", "--matrix", "-1 4 -3; 1 -1 4", "--rhs", "-9 17"]
     code, out, err = invoke(argv)
     assert (code, err) == (3, "")
-    assert "status = undetermined\nreason = enumerated points exceed cap 3\n" in out
+    assert "status = undetermined\nreason = search nodes exceed cap 5\n" in out
     code, out, err = invoke(argv + ["--json"])
     assert (code, err) == (3, "")
     doc = json.loads(out)
     assert list(doc) == ["command", "instance", "regime", "status", "reason"]
-    assert doc["instance"]["rhs"] == ["1", "1"]
-    assert doc["regime"] == {"k_max": "3", "coord_cap": "50", "complete": False}
-    assert doc["reason"] == "enumerated points exceed cap 3"
+    assert doc["instance"]["rhs"] == ["-9", "17"]
+    assert doc["regime"] == {"k_max": "3", "complete": True}
+    assert doc["reason"] == "search nodes exceed cap 5"
 
 
 def test_bounds():

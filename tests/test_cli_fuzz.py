@@ -29,6 +29,7 @@ from oracles import (
     identity,
     lattice_equal,
     lattice_member_transform,
+    min_support_bounded,
     minors_gcd,
     perm_det,
     solve_knapsack_positive_dp,
@@ -102,7 +103,6 @@ def argvs(draw):
         rows = draw(_matrix(max_rows=2, max_cols=4,
                             entry=st.one_of(st.integers(-6, 6), st.integers(-2**40, 2**40))))
         argv += _matrix_args(rows) + _rhs_args(draw, rows)
-        argv += ["--coord-cap", str(draw(st.integers(-1, 4)))]
         if draw(st.booleans()):
             argv += ["--k-max", str(draw(st.integers(-1, 5)))]
     elif command == "icr-scan":
@@ -173,12 +173,15 @@ def check(doc) -> None:
         assert abs(perm_det(first)) == int(doc["instance"]["delta"])
     elif command == "oracle":
         A, b = _matrix_of(doc), _vector(doc["instance"]["rhs"])
-        if status == "infeasible" and A.rows == 1:
-            assert _row_semigroup_lacks(A.row(0), b[0])
-        elif status == "infeasible":
-            assert lattice_member_transform(A, b) is None
+        # Entries up to 4 on the support: no proof of infeasibility, but
+        # an upper bound on the minimum.
+        bounded = min_support_bounded(A, b, coord_cap=4)
+        if status == "infeasible":
+            assert bounded is None
+            assert A.rows > 1 or _row_semigroup_lacks(A.row(0), b[0])
         else:
             assert (int(result["min_support"]) == 0) == (not any(b))
+            assert bounded is None or int(result["min_support"]) <= bounded
     elif command == "icr-scan":
         a, b_max = _vector(doc["instance"]["a"]), int(doc["instance"]["b_max"])
         expected = icr_scan_from_scratch(a, b_max, oracle.ICR_SCAN_WORK_CAP)

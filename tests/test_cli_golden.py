@@ -105,6 +105,17 @@ CASES = {
     "worst-case-one-row": (["worst-case", "--m", "1", "--delta", "30"], {}),
     "oracle-two-rows": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "2 3"], {}),
     "oracle-one-row-below-cap": (["oracle", "--matrix", "3 5", "--rhs", "10000000"], {}),
+    # No bitset of b/gcd bits: 10^14 = 5 x (2 x 10^13).
+    "oracle-one-row-cap": (["oracle", "--matrix", "3 5", "--rhs", "100000000000000"], {}),
+    # x = (200001, 1): the column of large entries takes its one value,
+    # and the other is solved for.
+    "oracle-one-row-wide-range": (["oracle", "--matrix", "2 1000003", "--rhs", "1400005"], {}),
+    # x = (100, 0): no cap on the entries.
+    "oracle-two-rows-large-entry": (["oracle", "--matrix", "1 2; 0 1", "--rhs", "100 0"], {}),
+    # Two columns fix their entries: only 3 and 5 take positive ones,
+    # x = (0, 4, 1, 0).
+    "oracle-two-rows-four-columns": (
+        ["oracle", "--matrix", "2 3 5 7; 1 1 1 1", "--rhs", "17 5"], {}),
     "icr-scan-three": (["icr-scan", "--a", "6 10 15", "--b-max", "60"], {}),
     "factor-one": (["factor", "1"], {}),
     "factor-big": (["factor", str(2**80 * 3**5)], {}),
@@ -125,13 +136,20 @@ CASES = {
     # outside the lattice, which proves infeasibility with no enumeration.
     "oracle-two-rows-outside-lattice": (
         ["oracle", "--matrix", "1 2 3 4 5; 5 4 3 2 1", "--rhs", "7 9"], {}),
+    # (-1, 0) lies in the lattice; the search over every support proves
+    # that no x >= 0 reaches it, on two columns and on three.
+    "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"], {}),
+    "oracle-regime-default-k-max": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0"], {}),
+    "oracle-two-rows-infeasible-in-lattice": (
+        ["oracle", "--matrix", "1 0 2; 0 1 3", "--rhs", "-1 0"], {}),
+    # x_13 alone could take some 384,000 values; the two large columns
+    # take a handful, and x_13 is solved for.
+    "oracle-one-row-infeasible-wide-range": (
+        ["oracle", "--matrix", "13 500007 500020", "--rhs", "6000071"], {}),
     # Undetermined.
     "knapsack-cap-flag": (
         ["knapsack", "--positive", "--a", "2 3", "--b", "999999", "--b-cap", "10"], {}),
     "icr-scan-cap": (["icr-scan", "--a", "2 3", "--b-max", "41"], {"oracle.ICR_SCAN_CAP": 40}),
-    # The one-row oracle's bitset is capped: undetermined, exit code 3, and
-    # no traceback.
-    "oracle-one-row-cap": (["oracle", "--matrix", "3 5", "--rhs", "100000000000000"], {}),
     # 2 x (2 + 2 + 1) entries for delta = 2^2 * 3 fill a cap of 10 exactly;
     # delta = 2^2 * 3 * 5 needs one more column.
     "worst-case-at-cap": (["worst-case", "--m", "2", "--delta", "12"],
@@ -142,10 +160,6 @@ CASES = {
     # worst-case is capped at 10^6 entries: undetermined, exit code 3, and
     # no traceback.
     "worst-case-far-over-default-cap": (["worst-case", "--m", "100000", "--delta", "2"], {}),
-    "oracle-regime": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0", "--k-max", "2"], {}),
-    # A bounded multi-row search that finds nothing is undetermined, exit
-    # code 3, and names its caps.
-    "oracle-regime-default-k-max": (["oracle", "--matrix", "1 0; 0 1", "--rhs", "-1 0"], {}),
     # 5 needs both weights; --k-max 1 cuts the one-row search short.
     "oracle-one-row-k-max-cut": (["oracle", "--matrix", "2 3", "--rhs", "5", "--k-max", "1"], {}),
     # Input errors.
@@ -180,6 +194,7 @@ CASES = {
     "knapsack-positive-no-weights": (["knapsack", "--positive", "--a", "", "--b", "3"], {}),
     "oracle-rhs-length": (["oracle", "--matrix", "1 2", "--rhs", "1 2"], {}),
     "oracle-negative-k-max": (["oracle", "--matrix", "1 2", "--rhs", "5", "--k-max", "-1"], {}),
+    # --coord-cap is gone: a usage error.
     "oracle-coord-cap-below-one": (
         ["oracle", "--matrix", "1 2; 3 4", "--rhs", "5 6", "--coord-cap", "-1"], {}),
     "solve-dioph-rhs-length": (["solve-dioph", "--matrix", "1 2; 3 4", "--rhs", "1"], {}),

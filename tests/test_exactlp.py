@@ -113,6 +113,16 @@ def test_the_artificial_of_a_redundant_row_stays_basic():
     assert point == basic_feasible_point_fraction(rows, [0, 0, 5])
 
 
+def test_a_tie_in_the_ratio_test_leaves_the_lowest_basis_index():
+    # Column 2 enters first, and rows 2 and 3 tie at ratio 0 with the
+    # artificials of rows 2 and 3 basic: Bland's rule takes row 2. Taking
+    # row 3 ends at (0, 1/8, 1/4, 9/8) instead.
+    rows = [[-1, 1, -1, 1], [1, 3, 3, -1], [-1, 2, -1, 0]]
+    point = as_fractions(basic_feasible_point(rows, [1, 0, 0]))
+    assert point == [Fraction(1, 2), Fraction(1, 4), 0, Fraction(5, 4)]
+    assert point == basic_feasible_point_fraction(rows, [1, 0, 0])
+
+
 @settings(max_examples=400, deadline=None)
 @given(lp_systems())
 def test_matches_the_fraction_simplex(system):

@@ -91,6 +91,14 @@ class TestFactorize:
         with pytest.raises(FactorizationTimeout):
             factorize(12 * P45 * Q45, rho_iteration_cap=10**4)
 
+    def test_rho_retraces_a_batched_gcd_that_overshoots(self):
+        # With c = 1 both factors of 91 close their cycles inside one gcd
+        # batch, so the batch gives 91; stepping back through it finds 7
+        # within 7 iterations. Without the retrace, c = 2 gives 13 after 12.
+        assert numtheory._pollard_rho(91, 7) == 7
+        with pytest.raises(FactorizationTimeout):
+            numtheory._pollard_rho(91, 6)
+
     @settings(max_examples=40, deadline=None)
     @given(prime_products)
     def test_matches_trial_first_factorization(self, z):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedioph import (
     CapExceeded,
@@ -17,6 +19,8 @@ from oracles import (
     icr_scan_from_scratch,
     identity,
     knapsack_min_support_dfs,
+    min_support_bounded,
+    min_support_one_row,
     random_full_row_rank,
     random_nonsingular_tau,
 )
@@ -53,14 +57,16 @@ class TestMinSupportExact:
         A = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
         assert min_support_exact(A, (2, 3)) == 1
         assert min_support_exact(A, (1, 1)) == 2
-        # (-1, 0) is in the lattice but has no nonnegative solution, which
-        # the bounded search cannot prove.
-        with pytest.raises(CapExceeded,
-                           match=r"^no solution with support <= 3 and entries <= 50$"):
-            min_support_exact(A, (-1, 0))
-        with pytest.raises(CapExceeded,
-                           match=r"^no solution with support <= 2 and entries <= 7$"):
-            min_support_exact(A, (-1, 0), k_max=2, coord_cap=7)
+        # (-1, 0) is in the lattice but has no nonnegative solution: the
+        # search over every support proves it, one cut by k_max does not.
+        assert min_support_exact(A, (-1, 0)) is None
+        with pytest.raises(CapExceeded, match=r"^no solution with support <= 2$"):
+            min_support_exact(A, (-1, 0), k_max=2)
+        # x = (100, 0) has entries above any fixed coordinate cap, and the
+        # second support needs a column that is free in the kernel.
+        assert min_support_exact(IntMatrix.from_rows([[1, 2], [0, 1]]), (100, 0)) == 1
+        A = IntMatrix.from_rows([[2, 3, 5, 7], [1, 1, 1, 1]])
+        assert min_support_exact(A, (17, 5)) == 2
 
     def test_double_oracle_agreement_single_row(self):
         rng = random.Random(17)
@@ -81,51 +87,45 @@ class TestMinSupportExact:
         one_row, two_rows = IntMatrix.from_rows([[1, 2]]), identity(2)
         with pytest.raises(NonPositive, match="k_max must be nonnegative, got -1"):
             min_support_exact(one_row, (5,), k_max=-1)
-        with pytest.raises(NonPositive, match="coord_cap must be positive, got 0"):
-            min_support_exact(two_rows, (5, 6), coord_cap=0)
-        with pytest.raises(NonPositive, match="coord_cap must be positive, got -1"):
-            min_support_exact(two_rows, (0, 0), coord_cap=-1)
-        # The smallest caps in range still search.
+        with pytest.raises(NonPositive, match="k_max must be nonnegative, got -1"):
+            min_support_exact(two_rows, (0, 0), k_max=-1)
+        # The smallest cut in range still searches; coordinates have no cap.
         with pytest.raises(CapExceeded, match=r"^no solution with support <= 0$"):
             min_support_exact(one_row, (5,), k_max=0)
-        assert min_support_exact(two_rows, (1, 1), coord_cap=1) == 2
+        assert min_support_exact(two_rows, (1, 1), k_max=2) == 2
+        with pytest.raises(TypeError):
+            min_support_exact(two_rows, (1, 1), coord_cap=1)
 
-    def test_point_cap(self, monkeypatch):
-        # (1, 1) takes the three single columns, then x = (1, 1, 0): 4 points.
-        A = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
-        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 4)
-        assert min_support_exact(A, (1, 1)) == 2
-        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 3)
-        with pytest.raises(CapExceeded, match="enumerated points exceed cap 3"):
-            min_support_exact(A, (1, 1))
-        # Single-row instances are a complete search and take no points.
-        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
-        assert min_support_exact(IntMatrix.from_rows([[2, 3]]), (5,)) == 2
+    def test_node_cap(self, monkeypatch):
+        # No y >= 0 with A y = 0 is nonzero, so all three columns are
+        # bounded; the supports tried take 6 values in all, the last of them
+        # in x = (11, 2, 2).
+        A = IntMatrix.from_rows([[-1, 4, -3], [1, -1, 4]])
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_NODE_CAP", 6)
+        assert min_support_exact(A, (-9, 17)) == 3
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_NODE_CAP", 5)
+        with pytest.raises(CapExceeded, match="^search nodes exceed cap 5$"):
+            min_support_exact(A, (-9, 17))
+        # Columns free in the kernel take a lattice solution and no node.
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_NODE_CAP", 0)
+        assert min_support_exact(IntMatrix.from_rows([[3, -5]]), (1,)) == 2
 
     def test_b_outside_the_lattice_takes_no_points(self, monkeypatch):
         # Every column sums to 6 and 7 + 9 = 16 is no multiple of 6; a b in
         # the lattice still enumerates.
         A = IntMatrix.from_rows([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
-        monkeypatch.setattr(oracle, "MIN_SUPPORT_POINT_CAP", 0)
+        monkeypatch.setattr(oracle, "MIN_SUPPORT_NODE_CAP", 0)
         assert min_support_exact(A, (7, 9)) is None
         with pytest.raises(CapExceeded):
             min_support_exact(A, (7, 11))
 
-    def test_one_row_bitset_cap(self, monkeypatch):
-        # The bitset for one support has |b - sum of its weights|/gcd + 1
-        # bits; above ICR_SCAN_CAP the search is undetermined.
-        with pytest.raises(CapExceeded, match=r"/gcd = 19999999999999 exceeds cap 10000000$"):
-            min_support_exact(IntMatrix.from_rows([[3, 5]]), (10**14,))
-        monkeypatch.setattr(oracle, "ICR_SCAN_CAP", 20)
-        row = IntMatrix.from_rows([[5, 3]])
-        # Support {5}: (105 - 5)/5 = 20 is at the cap.
-        assert min_support_exact(row, (105,)) == 1
-        with pytest.raises(CapExceeded, match="/gcd = 21 exceeds cap 20$"):
-            min_support_exact(row, (110,))
-        # Neither weight alone divides what is left of 1001, so only the
-        # support {5, 3} needs a bitset.
-        with pytest.raises(CapExceeded, match="/gcd = 993 exceeds cap 20$"):
-            min_support_exact(row, (1001,))
+    def test_one_row_large_rhs(self):
+        # No bitset of b/gcd bits: a few values of one bounded column each.
+        assert min_support_exact(IntMatrix.from_rows([[3, 5]]), (10**14,)) == 1
+        assert min_support_exact(IntMatrix.from_rows([[3, 5]]), (10**14 + 1,)) == 2
+        # An odd b prime to 15 needs all three weights.
+        assert min_support_exact(IntMatrix.from_rows([[6, 10, 15]]), (10**15 + 1,)) == 3
+        assert min_support_exact(IntMatrix.from_rows([[-6, -10, -15]]), (-(10**15 + 1),)) == 3
 
     def test_never_exceeds_solver_support(self):
         rng = random.Random(19)
@@ -147,6 +147,27 @@ class TestMinSupportExact:
                 assert str(exc).startswith("no solution with support <= ")
             else:
                 assert best is not None and best <= report.support_size
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_never_above_the_bounded_enumeration(self, data):
+        m, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+        entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        A = IntMatrix.from_rows(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        if data.draw(st.booleans()):
+            b = A.mat_vec(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        else:
+            b = tuple(data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m)))
+        bounded = min_support_bounded(A, b, coord_cap=6)
+        if bounded is not None:
+            best = min_support_exact(A, b)
+            assert best is not None and best <= bounded
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5), st.integers(-200, 600))
+    def test_one_row_equals_the_bitset_search(self, row, b):
+        assert min_support_exact(IntMatrix.row_vector(row), (b,)) == min_support_one_row(row, b)
 
 
 class TestIcrScan:

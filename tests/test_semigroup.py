@@ -28,7 +28,6 @@ from sparsedioph import (
     sparsify,
     sparsity_bounds,
 )
-from sparsedioph.oracle import _reachable
 from oracles import (
     basic_feasible_point_fraction,
     identity,
@@ -292,12 +291,8 @@ class TestSolveSemigroupPosspan:
         assert all(v >= 0 for v in report.x)
         gamma = sparsify(A, tau).gamma
         assert report.support_size <= len(gamma) + m <= report.bound
-        cap = max(report.x)
-        if m <= 2 and A.cols <= 5 and cap <= 8:
-            # x itself lies in the oracle's search regime, so the oracle
-            # must find a support no larger than x's.
-            best = min_support_exact(A, b, coord_cap=max(cap, 1))
-            assert best is not None and best <= report.support_size
+        best = min_support_exact(A, b)
+        assert best is not None and best <= report.support_size
 
 
 class TestReduceKnapsackSupport:
@@ -454,7 +449,7 @@ class TestSolveKnapsackPositive:
     )
     def test_none_iff_unreachable_and_support_between_oracle_and_bound(self, a, b):
         report = solve_knapsack_positive(a, b)
-        if not _reachable(b, a):
+        if solve_knapsack_positive_dp(a, b) is None:
             assert report is None
             return
         assert report is not None
